@@ -1,5 +1,6 @@
 #include "codegen/native/native_engine.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -31,7 +32,8 @@ NativeEngine::NativeEngine(const Module &mod, const Target &target,
       fi_(mod, target, options,
           decoded_cache ? std::move(decoded_cache)
                         : std::make_shared<DecodedProgramCache>(),
-          decode_options)
+          decode_options),
+      pool_(mod, options.maxCallDepth)
 {
     nativeOptions_.recordTrace = options.recordTrace;
     NativeBackend backend = engineOptions_.backend;
@@ -150,8 +152,11 @@ NativeEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
 
     const DecodedFunction &df = fi_.decoded(func);
     const Function &fn = mod_.function(func);
+    TRAPJIT_ASSERT(args.size() == df.numParams,
+                   "bad argument count calling ", df.name);
 
-    std::vector<Slot> argv(args.size());
+    // The root frame's slot file is the bottom of the pool.
+    Slot *argv = reinterpret_cast<Slot *>(pool_.begin());
     for (size_t i = 0; i < args.size(); ++i) {
         switch (fn.value(static_cast<ValueId>(i)).type) {
           case Type::F64: argv[i].f = args[i].f; break;
@@ -160,7 +165,7 @@ NativeEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
         }
     }
 
-    FrameResult frame = callFrame(func, std::move(argv), 0);
+    FrameResult frame = callFrame(func, argv, 0);
     if (hardFaultPending_)
         throw HardFault(hardFaultMsg_);
 
@@ -183,26 +188,42 @@ NativeEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
 }
 
 NativeEngine::FrameResult
-NativeEngine::callFrame(FunctionId id, std::vector<Slot> args, size_t depth)
+NativeEngine::callFrame(FunctionId id, Slot *frame, size_t depth)
 {
     const NativeCodeCache::Entry &entry = ensureCompiled(id);
+    const DecodedFunction &df = fi_.decoded(id);
     if (entry.code) {
         if (entry.code->optimized)
-            return optimizedInvokeFrame(fi_.decoded(id), *entry.code,
-                                        std::move(args), depth);
-        return nativeInvokeFrame(fi_.decoded(id), *entry.code,
-                                 std::move(args), depth);
+            return optimizedInvokeFrame(df, *entry.code, frame, depth);
+        return nativeInvokeFrame(df, *entry.code, frame, depth);
     }
     // Fallback: the whole subtree below this frame runs interpreted.
     // execFrame can throw HardFault; when native frames sit above us on
     // the C++ stack the throw must not cross their JIT frames, so it is
     // parked here and rethrown by run().
     try {
-        return fi_.execFrame(fi_.decoded(id), std::move(args), depth);
+        return fi_.execFrame(
+            df, std::vector<Slot>(frame, frame + df.numParams), depth);
     } catch (const HardFault &fault) {
         parkHardFault(fault.what());
         return FrameResult{};
     }
+}
+
+bool
+NativeEngine::claimFrame(const DecodedFunction &df, Slot *regs,
+                         size_t depth)
+{
+    if (depth > options_.maxCallDepth) {
+        parkHardFault("call depth limit exceeded in " + df.name);
+        return false;
+    }
+    if (!pool_.fits(regs, df.numValues)) {
+        parkHardFault("native frame pool overflow in " + df.name);
+        return false;
+    }
+    std::fill(regs + df.numParams, regs + df.numValues, Slot{});
+    return true;
 }
 
 uint32_t
@@ -240,25 +261,17 @@ NativeEngine::decideNullAccess(NativeContext &ctx, const DecodedInst &d)
 
 NativeEngine::FrameResult
 NativeEngine::nativeInvokeFrame(const DecodedFunction &df,
-                                const NativeCode &nc,
-                                std::vector<Slot> args, size_t depth)
+                                const NativeCode &nc, Slot *regs,
+                                size_t depth)
 {
-    if (depth > options_.maxCallDepth) {
-        parkHardFault("call depth limit exceeded in " + df.name);
+    if (!claimFrame(df, regs, depth))
         return FrameResult{};
-    }
-    TRAPJIT_ASSERT(args.size() == df.numParams,
-                   "bad argument count calling ", df.name);
-
-    std::vector<Slot> regs(df.numValues);
-    for (size_t i = 0; i < args.size(); ++i)
-        regs[i] = args[i];
 
     NativeContext ctx;
     ctx.budgetRemaining =
         static_cast<int64_t>(options_.maxInstructions) -
         static_cast<int64_t>(fi_.stats_.instructions);
-    NativeFrame frame{&df, &nc, regs.data(), nullptr};
+    NativeFrame frame{&df, &nc, regs, nullptr};
     ctx.frame = &frame;
     ctx.engine = this;
     ctx.depth = static_cast<uint32_t>(depth);
@@ -273,13 +286,13 @@ NativeEngine::nativeInvokeFrame(const DecodedFunction &df,
     uint32_t status;
     for (;;) {
         nativePushActivation(&act);
-        if (sigsetjmp(act.jmp, 1) == 0) {
-            status = nc.entry()(&ctx, regs.data(), fi_.heap_.hostBase(),
-                                resume);
+        if (sigsetjmp(act.jmp, 0) == 0) {
+            status = nc.entry()(&ctx, regs, fi_.heap_.hostBase(), resume);
             nativePopActivation(&act);
             break;
         }
         nativePopActivation(&act);
+        pthread_sigmask(SIG_SETMASK, &act.faultMask, nullptr);
 
         // The budget count was register-resident (r14) at the fault;
         // write it back so the stats sync below sees it and so the
@@ -345,25 +358,17 @@ NativeEngine::nativeInvokeFrame(const DecodedFunction &df,
 
 NativeEngine::FrameResult
 NativeEngine::optimizedInvokeFrame(const DecodedFunction &df,
-                                   const NativeCode &nc,
-                                   std::vector<Slot> args, size_t depth)
+                                   const NativeCode &nc, Slot *regs,
+                                   size_t depth)
 {
-    if (depth > options_.maxCallDepth) {
-        parkHardFault("call depth limit exceeded in " + df.name);
+    if (!claimFrame(df, regs, depth))
         return FrameResult{};
-    }
-    TRAPJIT_ASSERT(args.size() == df.numParams,
-                   "bad argument count calling ", df.name);
-
-    std::vector<Slot> regs(df.numValues);
-    for (size_t i = 0; i < args.size(); ++i)
-        regs[i] = args[i];
 
     NativeContext ctx;
     ctx.budgetRemaining =
         static_cast<int64_t>(options_.maxInstructions) -
         static_cast<int64_t>(fi_.stats_.instructions);
-    NativeFrame frame{&df, &nc, regs.data(), nullptr};
+    NativeFrame frame{&df, &nc, regs, nullptr};
     ctx.frame = &frame;
     ctx.engine = this;
     ctx.depth = static_cast<uint32_t>(depth);
@@ -382,12 +387,12 @@ NativeEngine::optimizedInvokeFrame(const DecodedFunction &df,
     // record.  Statuses 2 and 3 are the stub-side equivalents.
     uint32_t status;
     nativePushActivation(&act);
-    if (sigsetjmp(act.jmp, 1) == 0) {
-        status =
-            nc.entry()(&ctx, regs.data(), fi_.heap_.hostBase(), nullptr);
+    if (sigsetjmp(act.jmp, 0) == 0) {
+        status = nc.entry()(&ctx, regs, fi_.heap_.hostBase(), nullptr);
         nativePopActivation(&act);
     } else {
         nativePopActivation(&act);
+        pthread_sigmask(SIG_SETMASK, &act.faultMask, nullptr);
         const NativeTrapSite *site =
             nc.findSite(static_cast<uint32_t>(act.faultPc - act.codeLo));
         const DecodedInst *rec =
@@ -424,8 +429,9 @@ NativeEngine::optimizedInvokeFrame(const DecodedFunction &df,
         // null-access decisions land on the same records with the same
         // messages as a pure interpreter run.
         try {
-            return fi_.resumeFrame(df, std::move(regs), depth,
-                                   ctx.deoptRecord, pend);
+            return fi_.resumeFrame(
+                df, std::vector<Slot>(regs, regs + df.numValues), depth,
+                ctx.deoptRecord, pend);
         } catch (const HardFault &fault) {
             parkHardFault(fault.what());
             return FrameResult{};
@@ -535,11 +541,19 @@ NativeEngine::helperCall(NativeContext &ctx, uint32_t recIdx)
         return 2;
     }
 
-    std::vector<Slot> argv;
-    argv.reserve(rec.argsCount);
+    // Stage the arguments straight into the callee's parameter slots:
+    // its slot file starts where this frame's ends.
+    const DecodedFunction &cdf = fi_.decoded(callee);
+    TRAPJIT_ASSERT(rec.argsCount == cdf.numParams,
+                   "bad argument count calling ", cdf.name);
+    Slot *staged = r + df.numValues;
+    if (!pool_.fits(staged, rec.argsCount)) {
+        parkHardFault("native frame pool overflow in " + cdf.name);
+        return 2;
+    }
     for (uint32_t k = 0; k < rec.argsCount; ++k)
-        argv.push_back(r[cargs[k]]);
-    FrameResult sub = callFrame(callee, std::move(argv), ctx.depth + 1);
+        staged[k] = r[cargs[k]];
+    FrameResult sub = callFrame(callee, staged, ctx.depth + 1);
 
     ctx.budgetRemaining =
         static_cast<int64_t>(options_.maxInstructions) -

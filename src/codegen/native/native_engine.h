@@ -132,11 +132,21 @@ class NativeEngine
     using FrameResult = FastInterpreter::FrameResult;
 
     /**
-     * Dispatch one frame: native when @p id compiled, fast-interpreter
-     * fallback otherwise.  Never throws — HardFaults are parked.
+     * Dispatch one frame whose arguments sit in the first numParams
+     * slots at @p frame (a point in pool_ just past the caller's slot
+     * file): native frames adopt it as their slot file, the
+     * fast-interpreter fallback copies the arguments out.  Never
+     * throws — HardFaults are parked.
      */
-    FrameResult callFrame(FunctionId id, std::vector<Slot> args,
-                          size_t depth);
+    FrameResult callFrame(FunctionId id, Slot *frame, size_t depth);
+
+    /**
+     * The interpreter's depth check, then claim @p regs as @p df's slot
+     * file: it must fit in pool_, and its non-parameter slots are
+     * zeroed like execFrame's fresh register vector.  False (with the
+     * HardFault parked) when the frame may not run.
+     */
+    bool claimFrame(const DecodedFunction &df, Slot *regs, size_t depth);
 
     /**
      * Run one compiled frame inside the sigsetjmp trap-recovery loop;
@@ -144,22 +154,21 @@ class NativeEngine
      * faults and resumes at the next record / the catch handler.
      */
     FrameResult nativeInvokeFrame(const DecodedFunction &df,
-                                  const NativeCode &nc,
-                                  std::vector<Slot> args, size_t depth);
+                                  const NativeCode &nc, Slot *regs,
+                                  size_t depth);
 
     /**
      * Run one optimized-backend frame.  Single-shot sigsetjmp: a trap
      * never resumes native code — it becomes a deopt, and the frame
      * continues on the fast interpreter (FastInterpreter::resumeFrame)
-     * with the canonical slot file.  Entry statuses: 0 = returned,
-     * 1 = unwound (pending exception or parked HardFault), 2 = deopt,
-     * replay ctx->deoptRecord, 3 = deopt, dispatch the pending
-     * exception from ctx->deoptRecord's try region (the record was
-     * already retired by its helper).
+     * with a copy of the canonical slot file.  Entry statuses: 0 =
+     * returned, 1 = unwound (pending exception or parked HardFault),
+     * 2 = deopt, replay ctx->deoptRecord, 3 = deopt, dispatch the
+     * pending exception from ctx->deoptRecord's try region (the record
+     * was already retired by its helper).
      */
     FrameResult optimizedInvokeFrame(const DecodedFunction &df,
-                                     const NativeCode &nc,
-                                     std::vector<Slot> args,
+                                     const NativeCode &nc, Slot *regs,
                                      size_t depth);
 
     /**
@@ -185,6 +194,8 @@ class NativeEngine
     std::shared_ptr<NativeCodeCache> nativeCache_;
     std::vector<std::shared_ptr<const NativeCodeCache::Entry>> compiled_;
     FastInterpreter fi_; ///< fallback engine and shared heap/trace/stats
+    /** Every native frame's slot file (see FramePool). */
+    FramePool pool_;
     bool handlerInstalled_ = false;
     bool hardFaultPending_ = false;
     std::string hardFaultMsg_;

@@ -5,11 +5,14 @@
 #include <cstring>
 #include <mutex>
 
+#include <sys/mman.h>
+
 #if defined(__x86_64__) && defined(__linux__)
 #include <ucontext.h>
 #endif
 
 #include "codegen/native/native_compiler.h"
+#include "ir/module.h"
 #include "runtime/signal_stack.h"
 #include "support/diagnostics.h"
 
@@ -171,6 +174,9 @@ nativeSegvHandler(int signo, siginfo_t *info, void *context)
             // wrapper writes it back to the context before resuming.
             act->faultBudget =
                 static_cast<int64_t>(uc->uc_mcontext.gregs[REG_R14]);
+            // What sigreturn would have reinstated; the recovery branch
+            // restores it, since siglongjmp keeps the handler's mask.
+            act->faultMask = uc->uc_sigmask;
             bool inGuard = fault >= act->guardLo && fault < act->guardHi;
             siglongjmp(act->jmp, inGuard ? 1 : 2);
         }
@@ -193,6 +199,25 @@ nativePopActivation(NativeActivation *act)
 {
     TRAPJIT_ASSERT(t_activation == act, "activation stack out of order");
     t_activation = act->prev;
+}
+
+FramePool::FramePool(const Module &mod, size_t maxCallDepth)
+{
+    size_t widest = 1;
+    for (FunctionId f = 0; f < mod.numFunctions(); ++f)
+        widest = std::max(widest, mod.function(f).numValues());
+    bytes_ = (maxCallDepth + 2) * widest * 8;
+    void *mem = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (mem == MAP_FAILED)
+        TRAPJIT_FATAL("cannot reserve a ", bytes_,
+                      "-byte native frame pool");
+    base_ = static_cast<uint8_t *>(mem);
+}
+
+FramePool::~FramePool()
+{
+    munmap(base_, bytes_);
 }
 
 const TieredBlockRange *

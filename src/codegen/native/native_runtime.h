@@ -23,12 +23,17 @@
  *    HardFaults are parked in the engine and rethrown at the top of
  *    NativeEngine::run.
  *
- * Trap recovery: each native frame runs inside a sigsetjmp loop with a
- * NativeActivation on a thread-local stack.  The SIGSEGV handler
- * checks whether the faulting PC lies in the innermost activation's
- * code range; if so it records PC and fault address and siglongjmps
- * back (value 1 for a fault inside the heap guard region, 2 for any
- * other address).  The frame wrapper maps the PC to the faulting
+ * Trap recovery: each classic native frame enters its code under a
+ * mask-free sigsetjmp(jmp, 0) with a NativeActivation on a thread-local
+ * stack, so a call that takes no trap makes no syscall.  The SIGSEGV
+ * handler checks whether the faulting PC lies in the innermost
+ * activation's code range; if so it records PC, fault address and the
+ * interrupted signal mask (uc_sigmask) and siglongjmps back (value 1
+ * for a fault inside the heap guard region, 2 for any other address).
+ * siglongjmp leaves the handler's mask in place, so the recovery
+ * branch restores the recorded one with a single pthread_sigmask —
+ * one syscall per trap instead of one per frame, and exact even when
+ * a foreign handler that blocks SIGSEGV chains into ours.  The frame wrapper maps the PC to the faulting
  * record's trap site and applies the same null-access decision table
  * as the interpreters (FastInterpreter::handleNullAccess).  Faults
  * that don't match a trap site — or whose reference slot is not
@@ -36,10 +41,15 @@
  * state.  The handler runs on a per-thread alternate stack
  * (runtime/signal_stack.h) and chains to the previously installed
  * handler for faults outside any activation.
+ *
+ * Slot files: both native engines carve every frame's slot file from
+ * one FramePool (below); a call stages its arguments straight into
+ * what becomes the callee's parameter slots.
  */
 
 #include <atomic>
 #include <csetjmp>
+#include <csignal>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +59,7 @@
 namespace trapjit
 {
 
+class Module;
 class NativeEngine;
 class TieredEngine;
 struct NativeCode;
@@ -159,12 +170,58 @@ struct NativeActivation
     uintptr_t faultPc = 0, faultAddr = 0;
     /** r14 (the register-resident budget count) at the fault. */
     int64_t faultBudget = 0;
+    /**
+     * The signal mask the fault interrupted (uc_sigmask).  The recovery
+     * branch of sigsetjmp(jmp, 0) reinstates it: siglongjmp out of the
+     * handler does not, and a chained foreign handler may have blocked
+     * SIGSEGV on the way in.
+     */
+    sigset_t faultMask;
     NativeActivation *prev = nullptr;
 };
 
 /** Push/pop the calling thread's activation stack. */
 void nativePushActivation(NativeActivation *act);
 void nativePopActivation(NativeActivation *act);
+
+/**
+ * The slot-file stack both native engines carve their frames from:
+ * (maxCallDepth + 2) x the module's widest slot file — one row per
+ * live frame at depths 0..maxCallDepth plus the row a call at the
+ * depth limit stages its arguments into before the callee's depth
+ * check faults.  A callee's slot file starts where its caller's ends,
+ * so frames never overlap and a frame that fits its row always fits
+ * the pool; anything else is a "native frame pool overflow" HardFault
+ * at the frame that would not fit, never a write past the end.
+ *
+ * The memory is a reserved anonymous mapping: the kernel commits (and
+ * zero-fills) a page only when a frame first touches it, so a shallow
+ * call tree costs resident memory only for the rows it reached.
+ */
+class FramePool
+{
+  public:
+    FramePool(const Module &mod, size_t maxCallDepth);
+    ~FramePool();
+
+    FramePool(const FramePool &) = delete;
+    FramePool &operator=(const FramePool &) = delete;
+
+    uint8_t *begin() const { return base_; }
+    uint8_t *end() const { return base_ + bytes_; }
+
+    /** Whether @p numSlots 8-byte slots starting at @p at (a point
+     *  inside the pool) fit before its end. */
+    bool fits(const void *at, size_t numSlots) const
+    {
+        const auto *p = static_cast<const uint8_t *>(at);
+        return numSlots <= static_cast<size_t>(end() - p) / 8;
+    }
+
+  private:
+    uint8_t *base_ = nullptr;
+    size_t bytes_ = 0;
+};
 
 // ---- tiered-tier trap recovery --------------------------------------
 //

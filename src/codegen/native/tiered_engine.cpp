@@ -44,7 +44,8 @@ TieredEngine::TieredEngine(const Module &mod, const Target &target,
       fi_(mod, target, options,
           decoded_cache ? decoded_cache
                         : std::make_shared<DecodedProgramCache>(),
-          decode_options)
+          decode_options),
+      pool_(mod, options.maxCallDepth)
 {
     if (tieredOptions_.threshold == 0)
         tieredOptions_.threshold = 1;
@@ -61,18 +62,11 @@ TieredEngine::TieredEngine(const Module &mod, const Target &target,
     TRAPJIT_ASSERT(controller_->registry() == registry_,
                    "controller bound to a different registry");
 
-    // The frame pool: one slot file per possible live tiered frame.
-    // Depth d in [0, maxCallDepth] plus the bridge's staging row.
-    size_t maxNumValues = 1;
-    for (FunctionId f = 0; f < mod_.numFunctions(); ++f)
-        maxNumValues =
-            std::max(maxNumValues, mod_.function(f).numValues());
-    pool_.resize((options_.maxCallDepth + 2) * maxNumValues);
     hotness_.assign(mod_.numFunctions(), 0);
 
     ctx_.tieredEngine = this;
-    ctx_.poolTop = reinterpret_cast<uint8_t *>(pool_.data());
-    ctx_.poolEnd = ctx_.poolTop + pool_.size() * sizeof(uint64_t);
+    ctx_.poolTop = pool_.begin();
+    ctx_.poolEnd = pool_.end();
 
     // Wire the interpreter's tiering hooks (friend access).
     fi_.tierHooks_ = this;
@@ -101,7 +95,7 @@ TieredEngine::reset()
     std::fill(hotness_.begin(), hotness_.end(), 0);
     hardFaultPending_ = false;
     hardFaultMsg_.clear();
-    ctx_.poolTop = reinterpret_cast<uint8_t *>(pool_.data());
+    ctx_.poolTop = pool_.begin();
     ctx_.hardFault = 0;
     ctx_.parkCode = 0;
     ctx_.pendingKind = 0;
@@ -175,7 +169,7 @@ TieredEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
     ctx_.linkedCalls = 0;
     // Unwinds restore the bump pointer frame by frame, so this is a
     // no-op unless a previous run died mid-flight.
-    ctx_.poolTop = reinterpret_cast<uint8_t *>(pool_.data());
+    ctx_.poolTop = pool_.begin();
 
     const DecodedFunction &df = fi_.decoded(func);
     const Function &fn = mod_.function(func);

@@ -16,10 +16,12 @@
  * Tiered blocks differ from the classic per-frame native tier in three
  * ways that make hot call chains cheap:
  *
- *  - One persistent NativeContext and one engine-owned frame pool are
- *    shared by the whole call tree.  A callee's slot file is carved
- *    from the pool bump pointer; call arguments are staged directly
- *    into what becomes the callee's parameter slots (zero copies).
+ *  - One persistent NativeContext is shared by the whole call tree.
+ *    A callee's slot file is carved from the engine's FramePool by
+ *    the block prologue's bump of ctx.poolTop; call arguments are
+ *    staged directly into what becomes the callee's parameter slots
+ *    (zero copies).  Classic frames share the pool layout but set up
+ *    a context per call in C++.
  *  - Calls between published blocks are patchable rel32 near-calls:
  *    the registry links a site straight at the callee's entry when it
  *    publishes and unlinks it back to the per-site slow stub on
@@ -184,8 +186,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
 
     /** Persistent context every tiered frame of this engine shares. */
     NativeContext ctx_;
-    /** Frame pool: (maxCallDepth + 2) x widest slot file. */
-    std::vector<uint64_t> pool_;
+    /** Every tiered frame's slot file; ctx_.poolTop bumps through it. */
+    FramePool pool_;
     /** Per-function hotness (calls + back-edges); fi_.tierHot_. */
     std::vector<uint32_t> hotness_;
 

@@ -20,9 +20,11 @@
  *     instruction-budget preamble (no compare, no branch), an explicit
  *     one carries the kNativeExplicitNullCheckBytes compare-and-branch;
  *  3. directed tests for the trap path (a real fault must be taken and
- *     must surface as the interpreter-identical NullPointerException),
- *     mixed native/interpreted call stacks, budget-fault message
- *     parity, and the TRAPJIT_INTERP selector.
+ *     must surface as the interpreter-identical NullPointerException,
+ *     also when a foreign SIGSEGV handler chains into trapjit's),
+ *     mixed native/interpreted call stacks, budget-fault and
+ *     call-depth-fault message parity, and the TRAPJIT_INTERP
+ *     selector.
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -31,12 +33,16 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <tuple>
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/native_compiler.h"
 #include "codegen/native/native_engine.h"
+#include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "interp/fast_interpreter.h"
 #include "ir/builder.h"
@@ -355,6 +361,263 @@ TEST(NativeTrap, GuardPageFaultBecomesTheInterpreterIdenticalNpe)
     EXPECT_EQ(ExecResult::Outcome::Threw, fr.outcome);
     EXPECT_EQ(ExcKind::NullPointer, fr.exception);
     EXPECT_EQ(r.stats.trapsTaken, fr.stats.trapsTaken);
+}
+
+// ---------------------------------------------------------------------------
+// Mask-free trap recovery under a chained foreign handler
+// ---------------------------------------------------------------------------
+//
+// Native frames recover traps with sigsetjmp(jmp, 0): siglongjmp out of
+// the handler keeps the handler's signal mask, and the engine restores
+// the interrupted one from uc_sigmask.  A foreign handler installed on
+// top of trapjit's — SIGSEGV in its sa_mask, no SA_NODEFER, forwarding
+// to trapjit — leaves SIGSEGV blocked when trapjit's handler jumps out,
+// so an engine that skipped the restore would be killed by the next
+// guard-page fault.  The test runs in a forked child for that reason.
+
+struct sigaction g_trapjitSegvAction;
+volatile sig_atomic_t g_foreignSegvEntries = 0;
+
+void
+foreignSegvHandler(int signo, siginfo_t *info, void *context)
+{
+    g_foreignSegvEntries = g_foreignSegvEntries + 1;
+    g_trapjitSegvAction.sa_sigaction(signo, info, context);
+}
+
+bool
+sameSignalMask(const sigset_t &a, const sigset_t &b)
+{
+    for (int sig = 1; sig < NSIG; ++sig)
+        if (sigismember(&a, sig) != sigismember(&b, sig))
+            return false;
+    return true;
+}
+
+[[noreturn]] void
+childFail(const char *what, const char *engine, int run)
+{
+    std::fprintf(stderr, "%s: %s (run %d)\n", engine, what, run);
+    std::_Exit(1);
+}
+
+/**
+ * In the forked child: chain a foreign handler over trapjit's, block
+ * SIGUSR1, and run @p mod's main twice per native backend against the
+ * fast interpreter's result.  Exits 0 only if every run matched and
+ * left the thread's signal mask exactly as it found it.
+ */
+[[noreturn]] void
+runUnderChainedHandler(const Module &mod, const Target &target)
+{
+    FunctionId entry = mod.findFunction("main");
+    FastInterpreter fast(mod, target);
+    ExecResult want = fast.run(entry, {});
+    uint64_t wantDigest = fast.heap().digest();
+
+    NativeEngineOptions baselineOpts;
+    baselineOpts.backend = NativeBackend::Baseline;
+    NativeEngineOptions optimizedOpts;
+    optimizedOpts.backend = NativeBackend::Optimized;
+    // Constructing the engines installs trapjit's handler; the foreign
+    // one goes on top and forwards to it.
+    NativeEngine native(mod, target, {}, nullptr, {}, nullptr,
+                        baselineOpts);
+    NativeEngine optimized(mod, target, {}, nullptr, {}, nullptr,
+                           optimizedOpts);
+
+    struct sigaction foreign;
+    std::memset(&foreign, 0, sizeof(foreign));
+    foreign.sa_sigaction = foreignSegvHandler;
+    foreign.sa_flags = SA_SIGINFO | SA_ONSTACK;
+    sigemptyset(&foreign.sa_mask);
+    sigaddset(&foreign.sa_mask, SIGSEGV);
+    if (sigaction(SIGSEGV, &foreign, &g_trapjitSegvAction) != 0 ||
+        !(g_trapjitSegvAction.sa_flags & SA_SIGINFO))
+        childFail("cannot chain over trapjit's handler", "setup", 0);
+
+    sigset_t usr1;
+    sigemptyset(&usr1);
+    sigaddset(&usr1, SIGUSR1);
+    pthread_sigmask(SIG_BLOCK, &usr1, nullptr);
+
+    auto check = [&](NativeEngine &engine, const char *name) {
+        for (int run = 1; run <= 2; ++run) {
+            engine.reset();
+            const sig_atomic_t entriesBefore = g_foreignSegvEntries;
+            sigset_t before, after;
+            pthread_sigmask(SIG_SETMASK, nullptr, &before);
+            ExecResult got = engine.run(entry, {});
+            pthread_sigmask(SIG_SETMASK, nullptr, &after);
+            if (!sameSignalMask(before, after))
+                childFail("signal mask changed across run()", name, run);
+            if (g_foreignSegvEntries == entriesBefore)
+                childFail("no trap went through the foreign handler",
+                          name, run);
+            if (got.outcome != want.outcome ||
+                got.exception != want.exception ||
+                got.value.i != want.value.i)
+                childFail("result differs from the fast interpreter",
+                          name, run);
+            if (got.stats.instructions != want.stats.instructions ||
+                got.stats.calls != want.stats.calls ||
+                got.stats.allocations != want.stats.allocations ||
+                got.stats.trapsTaken != want.stats.trapsTaken ||
+                got.stats.speculativeReadsOfNull !=
+                    want.stats.speculativeReadsOfNull)
+                childFail("counters differ from the fast interpreter",
+                          name, run);
+            if (engine.heap().digest() != wantDigest)
+                childFail("heap differs from the fast interpreter", name,
+                          run);
+        }
+    };
+    check(native, "native");
+    check(optimized, "optimized");
+    std::_Exit(0);
+}
+
+TEST(NativeTrapMaskDeathTest, RecoveryStaysExactUnderChainedHandler)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    const WorkloadProfile *preset = findWorkloadProfile("null_storm");
+    ASSERT_NE(preset, nullptr);
+
+    // The first null_storm seed whose main takes hardware traps under
+    // the trap arm (the fast interpreter counts them without faulting).
+    std::unique_ptr<Module> mod;
+    for (uint64_t seed = 900; seed < 932 && mod == nullptr; ++seed) {
+        WorkloadProfile p = *preset;
+        p.seed = seed;
+        auto candidate = generateWorkloadModule(p);
+        Compiler compiler(target, makeNoOptTrapConfig());
+        compiler.compile(*candidate);
+        FastInterpreter fast(*candidate, target);
+        if (fast.run(candidate->findFunction("main"), {})
+                .stats.trapsTaken >= 2)
+            mod = std::move(candidate);
+    }
+    ASSERT_NE(mod, nullptr) << "no null_storm seed takes two traps";
+
+    EXPECT_EXIT(runUnderChainedHandler(*mod, target),
+                ::testing::ExitedWithCode(0), "");
+}
+
+// ---------------------------------------------------------------------------
+// Call-depth limit and frame-pool bounds
+// ---------------------------------------------------------------------------
+
+/**
+ * rec(n) = n == 0 ? 0 : rec(n - 1) + 1, padded with temps.  As the
+ * module's only function it has the widest slot file, so a chain of
+ * rec frames fills the frame pool's rows exactly.
+ */
+std::unique_ptr<Module>
+buildRecursionModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &rec = mod->addFunction("rec", Type::I32);
+    ValueId n = rec.addParam(Type::I32, "n");
+    {
+        IRBuilder b(rec);
+        b.startBlock();
+        BasicBlock &base = rec.newBlock();
+        BasicBlock &step = rec.newBlock();
+        b.branch(b.cmp(Opcode::ICmp, CmpPred::EQ, n, b.constInt(0)), base,
+                 step);
+        b.atEnd(base);
+        b.ret(b.constInt(0));
+        b.atEnd(step);
+        ValueId r =
+            b.callStatic(rec.id(),
+                         {b.binop(Opcode::ISub, n, b.constInt(1))},
+                         Type::I32);
+        for (int k = 0; k < 24; ++k)
+            r = b.binop(Opcode::IAdd, r, b.constInt(k == 0 ? 1 : 0));
+        b.ret(r);
+    }
+    return mod;
+}
+
+TEST(NativeCallDepth, DepthLimitFaultsIdenticallyOnEveryEngine)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildRecursionModule();
+    const FunctionId rec = mod->findFunction("rec");
+
+    for (size_t maxDepth : {size_t{16}, InterpOptions{}.maxCallDepth}) {
+        InterpOptions options;
+        options.maxCallDepth = maxDepth;
+        // rec(n) is the root at depth 0 and rec(0) runs at depth n, so
+        // n = maxDepth reaches the limit exactly and n = maxDepth + 1
+        // crosses it — after the frame at the limit staged its
+        // argument in the pool's last row.
+        const int64_t limit = static_cast<int64_t>(maxDepth);
+        const std::vector<RuntimeValue> atLimit = {
+            RuntimeValue::ofInt(limit)};
+        const std::vector<RuntimeValue> pastLimit = {
+            RuntimeValue::ofInt(limit + 1)};
+
+        std::string want;
+        {
+            FastInterpreter fast(*mod, target, options);
+            try {
+                fast.run(rec, pastLimit);
+                FAIL() << "fast engine did not hit the depth limit";
+            } catch (const HardFault &fault) {
+                want = fault.what();
+            }
+            ExecResult r = fast.run(rec, atLimit);
+            ASSERT_EQ(ExecResult::Outcome::Returned, r.outcome);
+            ASSERT_EQ(limit, r.value.i);
+        }
+        EXPECT_EQ("call depth limit exceeded in rec", want);
+
+        // Past the limit first, then at it: the same engine must come
+        // back with a clean frame pool after the fault unwound.
+        auto expectLimit = [&](auto &engine, const char *name) {
+            for (int round = 0; round < 2; ++round) {
+                try {
+                    engine.run(rec, pastLimit);
+                    ADD_FAILURE() << name << " did not hit the depth limit"
+                                  << " (maxCallDepth " << maxDepth << ")";
+                } catch (const HardFault &fault) {
+                    EXPECT_EQ(want, fault.what())
+                        << name << ", maxCallDepth " << maxDepth;
+                }
+                ExecResult r = engine.run(rec, atLimit);
+                EXPECT_EQ(ExecResult::Outcome::Returned, r.outcome)
+                    << name << ", maxCallDepth " << maxDepth;
+                EXPECT_EQ(limit, r.value.i)
+                    << name << ", maxCallDepth " << maxDepth;
+            }
+        };
+        NativeEngineOptions baselineOpts;
+        baselineOpts.backend = NativeBackend::Baseline;
+        NativeEngine native(*mod, target, options, nullptr, {}, nullptr,
+                            baselineOpts);
+        ASSERT_NE(nullptr, native.nativeCode(rec));
+        expectLimit(native, "native");
+
+        NativeEngineOptions optimizedOpts;
+        optimizedOpts.backend = NativeBackend::Optimized;
+        NativeEngine optimized(*mod, target, options, nullptr, {},
+                               nullptr, optimizedOpts);
+        ASSERT_NE(nullptr, optimized.nativeCode(rec));
+        expectLimit(optimized, "optimized");
+
+        // Threshold 2, synchronous: rec promotes a few frames into the
+        // first run, so the chain crosses interpreter and tiered
+        // frames; the second round runs warm.
+        TieredOptions tiered;
+        tiered.threshold = 2;
+        tiered.synchronous = true;
+        TieredEngine tier(*mod, target, options, nullptr, {}, tiered);
+        expectLimit(tier, "tiered");
+        EXPECT_NE(nullptr, tier.registry()->published(rec));
+    }
 }
 
 // ---------------------------------------------------------------------------
