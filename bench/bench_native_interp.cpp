@@ -5,7 +5,7 @@
  * tier, on jBYTEmark kernels (BM_Native_* — CI uploads the results as
  * BENCH_native.json next to BENCH_interp.json).
  *
- * Three families:
+ * Four families:
  *
  *  - BM_Native_{Reference,Fast,Jit}_<kernel>: the same unoptimized
  *    module (every check explicit, the interpreter benches' shape)
@@ -27,11 +27,17 @@
  *    steady state, direct block linking vs trampoline-only, against
  *    the fused interpreter and per-call-dispatch native baselines.
  *
+ *  - BM_Heap_Recycle_{Dense,Sparse}: Heap::reset() alone, on a span
+ *    written everywhere and on one written in five pages (CI uploads
+ *    these as BENCH_heap.json).
+ *
  * Native benches skip (with a notice in the JSON) on hosts without the
  * native tier; the interpreter baselines run everywhere.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "codegen/native/native_engine.h"
 #include "codegen/native/tiered_engine.h"
@@ -368,6 +374,64 @@ TRAPJIT_TIERED_BENCH(call_web, "call_web");
 TRAPJIT_TIERED_BENCH(pointer_chase, "pointer_chase");
 
 #undef TRAPJIT_TIERED_BENCH
+
+// ---------------------------------------------------------------------------
+// Heap recycle (BM_Heap_Recycle_* — CI uploads BENCH_heap.json)
+// ---------------------------------------------------------------------------
+//
+// The time of Heap::reset() alone, after a "request" that allocates one
+// span and writes some of its pages:
+//
+//  - BM_Heap_Recycle_Dense:  a 128 KiB span with every page written —
+//                            the page scan's worst case, where it finds
+//                            every page and adds its own cost to the
+//                            memset
+//  - BM_Heap_Recycle_Sparse: a 1.5 MiB span with 5 pages written — the
+//                            big_offset shape, where the scan wipes 5
+//                            pages instead of 384
+//
+// The label says which path reset() takes on this host: "page-scan", or
+// "memset-fallback" where the kernel or sandbox lacks PAGEMAP_SCAN.
+
+void
+runHeapRecycleBenchmark(benchmark::State &state, int64_t spanBytes,
+                        int64_t dirtyPages)
+{
+    constexpr int64_t kPage = 4096;
+    const int64_t stride = spanBytes / kPage / dirtyPages * kPage;
+    Heap heap(4u << 20);
+    for (auto _ : state) {
+        const Address obj = heap.allocateObject(1, spanBytes);
+        for (int64_t k = 0; k < dirtyPages; ++k)
+            heap.writeI64(obj + k * stride + 8, k + 1);
+        benchmark::DoNotOptimize(heap.hostBase());
+        benchmark::ClobberMemory();
+        const auto start = std::chrono::steady_clock::now();
+        heap.reset();
+        const auto stop = std::chrono::steady_clock::now();
+        state.SetIterationTime(
+            std::chrono::duration<double>(stop - start).count());
+    }
+    state.SetBytesProcessed(spanBytes * state.iterations());
+    state.counters["pages_written"] = static_cast<double>(dirtyPages);
+    state.SetLabel(Heap::pageScanAvailable() ? "page-scan"
+                                             : "memset-fallback");
+}
+
+void
+BM_Heap_Recycle_Dense(benchmark::State &state)
+{
+    runHeapRecycleBenchmark(state, 128 << 10, 32);
+}
+
+void
+BM_Heap_Recycle_Sparse(benchmark::State &state)
+{
+    runHeapRecycleBenchmark(state, 1536 << 10, 5);
+}
+
+BENCHMARK(BM_Heap_Recycle_Dense)->UseManualTime();
+BENCHMARK(BM_Heap_Recycle_Sparse)->UseManualTime();
 
 } // namespace
 } // namespace trapjit

@@ -38,7 +38,15 @@ using Address = uint64_t;
 /** First allocatable address: above any legal field offset from null. */
 constexpr Address kHeapBase = 0x100000; // 1 MiB > kMaxFieldOffset
 
-/** Bump-pointer arena with typed accessors. */
+/**
+ * Bump-pointer arena with typed accessors.
+ *
+ * Allocation and reset() contract: every byte above the bump pointer is
+ * zero, so allocation hands out memory without touching it and stays
+ * O(1) whatever the object size.  reset() restores the invariant for the
+ * whole extent a run used and rewinds the pointer; its cost follows the
+ * pages the run could have left nonzero, not the extent (see reset()).
+ */
 class Heap
 {
   public:
@@ -179,10 +187,44 @@ class Heap
     };
     Difference firstDifference(const Heap &other) const;
 
-    /** Release everything (arena is reused). */
+    /**
+     * Release everything: zero what the run left behind and rewind the
+     * bump pointer, so the arena is reused.
+     *
+     * Only pages that hold a private frame can hold a nonzero byte: a
+     * page nobody touched is unmapped, and a page that was only read
+     * maps the kernel's shared zero page.  Above a few pages, reset()
+     * asks the kernel for the private pages of [kHeapBase, next) with
+     * one PAGEMAP_SCAN ioctl (Linux >= 6.7) and wipes just those, so a
+     * multi-MB heap the run wrote in five places costs five pages.  A
+     * short extent, or a kernel or sandbox without the ioctl, takes a
+     * plain memset of the extent — the same result, chosen from what
+     * the process observes, not from a setting.
+     */
     void reset();
 
+    /**
+     * True if this process can use the page scan reset() prefers:
+     * /proc/self/pagemap opens and answers PAGEMAP_SCAN.  Informational
+     * (tests, benchmark context); reset() probes for itself.
+     */
+    static bool pageScanAvailable();
+
   private:
+    /**
+     * Wipe the pages of [lo, lo + bytes) that hold a private frame.
+     * False if the scan was unavailable or failed part-way; the caller
+     * then memsets the whole extent.
+     */
+    bool wipeWrittenPages(uint8_t *lo, size_t bytes);
+
+    /**
+     * This process's pagemap descriptor, or -1.  A pagemap fd is bound
+     * to the address space of the process that opened it, so a forked
+     * child reopens it instead of scanning its parent's page tables.
+     */
+    int pagemapFd();
+
     uint8_t *plot(Address addr) { return base_ + addr; }
     const uint8_t *plot(Address addr) const { return base_ + addr; }
 
@@ -190,6 +232,8 @@ class Heap
     size_t mapBytes_ = 0;     ///< total mapping size (guard + arena)
     Address next_ = kHeapBase;
     Address limit_;
+    int pagemapFd_ = -1;
+    int pagemapPid_ = 0; ///< process that opened pagemapFd_
 };
 
 } // namespace trapjit

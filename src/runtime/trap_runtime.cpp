@@ -5,7 +5,9 @@
 #include <csignal>
 #include <cstring>
 
+#include <pthread.h>
 #include <sys/mman.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include "runtime/signal_stack.h"
@@ -21,11 +23,16 @@ namespace
 // its own jump buffer, so concurrent traps on different threads unwind
 // independently.  The guard range is instance state but stored in
 // atomics so the handler (which may run on any thread) reads it without
-// a data race.  SA_NODEFER lets the handler siglongjmp out with SIGSEGV
-// still deliverable, which is what makes sigsetjmp(buf, 0) — no
-// sigprocmask syscall on the hot path — sufficient.
+// a data race.  Arming uses sigsetjmp(buf, 0) — no sigprocmask syscall
+// when nothing traps.  siglongjmp out of the handler keeps the
+// handler's mask, which SA_NODEFER leaves alone only while our handler
+// is the one the kernel entered: a foreign handler that blocks SIGSEGV
+// and chains into ours would leave it blocked.  So the handler records
+// the interrupted mask (uc_sigmask) and the recovery branch restores it,
+// paying the syscall only on a trap.
 thread_local sigjmp_buf t_trapJmp;
 thread_local volatile sig_atomic_t t_trapArmed = 0;
+thread_local sigset_t t_faultMask;
 std::atomic<uintptr_t> g_guardLo{0};
 std::atomic<uintptr_t> g_guardHi{0};
 struct sigaction g_prevAction;
@@ -40,6 +47,7 @@ segvHandler(int signo, siginfo_t *info, void *context)
         // A null-reference access inside the protected page: unwind back
         // to this thread's guarded accessor, which reports "NPE".
         t_trapArmed = 0;
+        t_faultMask = static_cast<ucontext_t *>(context)->uc_sigmask;
         siglongjmp(t_trapJmp, 1);
     }
     // Not ours: chain to the previous handler (or die by default).
@@ -98,6 +106,7 @@ TrapRuntime::guardedReadI32(uintptr_t addr)
     ensureAltSignalStack();
     if (sigsetjmp(t_trapJmp, 0) != 0) {
         // We arrive here from the handler: the access trapped.
+        pthread_sigmask(SIG_SETMASK, &t_faultMask, nullptr);
         trapsTaken_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }
@@ -112,6 +121,7 @@ TrapRuntime::guardedWriteI32(uintptr_t addr, int32_t value)
 {
     ensureAltSignalStack();
     if (sigsetjmp(t_trapJmp, 0) != 0) {
+        pthread_sigmask(SIG_SETMASK, &t_faultMask, nullptr);
         trapsTaken_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }

@@ -24,7 +24,9 @@
  *     also when a foreign SIGSEGV handler chains into trapjit's),
  *     mixed native/interpreted call stacks, budget-fault and
  *     call-depth-fault message parity, and the TRAPJIT_INTERP
- *     selector.
+ *     selector;
+ *  4. recycled engines: on every engine, a run after reset() matches
+ *     a fresh engine's run bit for bit (heap recycle leaves no residue).
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -33,11 +35,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/native_compiler.h"
@@ -51,6 +56,7 @@
 #include "jit/compiler.h"
 #include "testing/equivalence.h"
 #include "testing/random_program.h"
+#include "testing/signal_chain.h"
 #include "testing/workload_gen/workload_gen.h"
 
 #if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
@@ -373,26 +379,8 @@ TEST(NativeTrap, GuardPageFaultBecomesTheInterpreterIdenticalNpe)
 // top of trapjit's — SIGSEGV in its sa_mask, no SA_NODEFER, forwarding
 // to trapjit — leaves SIGSEGV blocked when trapjit's handler jumps out,
 // so an engine that skipped the restore would be killed by the next
-// guard-page fault.  The test runs in a forked child for that reason.
-
-struct sigaction g_trapjitSegvAction;
-volatile sig_atomic_t g_foreignSegvEntries = 0;
-
-void
-foreignSegvHandler(int signo, siginfo_t *info, void *context)
-{
-    g_foreignSegvEntries = g_foreignSegvEntries + 1;
-    g_trapjitSegvAction.sa_sigaction(signo, info, context);
-}
-
-bool
-sameSignalMask(const sigset_t &a, const sigset_t &b)
-{
-    for (int sig = 1; sig < NSIG; ++sig)
-        if (sigismember(&a, sig) != sigismember(&b, sig))
-            return false;
-    return true;
-}
+// guard-page fault.  The test runs in a forked child for that reason
+// (the handler is testing/signal_chain.h's).
 
 [[noreturn]] void
 childFail(const char *what, const char *engine, int run)
@@ -426,14 +414,7 @@ runUnderChainedHandler(const Module &mod, const Target &target)
     NativeEngine optimized(mod, target, {}, nullptr, {}, nullptr,
                            optimizedOpts);
 
-    struct sigaction foreign;
-    std::memset(&foreign, 0, sizeof(foreign));
-    foreign.sa_sigaction = foreignSegvHandler;
-    foreign.sa_flags = SA_SIGINFO | SA_ONSTACK;
-    sigemptyset(&foreign.sa_mask);
-    sigaddset(&foreign.sa_mask, SIGSEGV);
-    if (sigaction(SIGSEGV, &foreign, &g_trapjitSegvAction) != 0 ||
-        !(g_trapjitSegvAction.sa_flags & SA_SIGINFO))
+    if (!chainForeignSegvHandler())
         childFail("cannot chain over trapjit's handler", "setup", 0);
 
     sigset_t usr1;
@@ -502,6 +483,143 @@ TEST(NativeTrapMaskDeathTest, RecoveryStaysExactUnderChainedHandler)
 
     EXPECT_EXIT(runUnderChainedHandler(*mod, target),
                 ::testing::ExitedWithCode(0), "");
+}
+
+// ---------------------------------------------------------------------------
+// Recycled engines: a run after reset() is a fresh run
+// ---------------------------------------------------------------------------
+//
+// Every other differential check builds a fresh engine per case, so none
+// reuses a heap.  reset() wipes only the pages the kernel reports as
+// holding a private frame; a page it missed would leak one run's bytes
+// into the next.  big_offset programs write a few places of ~512 KB
+// objects (the sparse case) and mixed programs everything else.
+
+/** Everything a run makes observable, for a bit-for-bit comparison. */
+struct RunObservation
+{
+    bool hardFault = false;
+    std::string fault;
+    ExecResult result;
+    std::vector<Event> events;
+    uint64_t heapDigest = 0;
+};
+
+template <typename EngineT>
+RunObservation
+observeRun(EngineT &engine, FunctionId entry)
+{
+    RunObservation obs;
+    try {
+        obs.result = engine.run(entry, {});
+        obs.events = engine.trace().events();
+        obs.heapDigest = engine.heap().digest();
+    } catch (const HardFault &fault) {
+        obs.hardFault = true;
+        obs.fault = fault.what();
+    }
+    return obs;
+}
+
+/** First difference between two observations, or "" if identical. */
+std::string
+observationMismatch(const RunObservation &fresh,
+                    const RunObservation &recycled)
+{
+    if (fresh.hardFault != recycled.hardFault ||
+        fresh.fault != recycled.fault)
+        return "HardFault differs: fresh \"" + fresh.fault +
+               "\", recycled \"" + recycled.fault + "\"";
+    const ExecResult &a = fresh.result;
+    const ExecResult &b = recycled.result;
+    if (a.outcome != b.outcome || a.exception != b.exception)
+        return std::string("outcome differs: fresh ") +
+               excName(a.exception) + ", recycled " +
+               excName(b.exception);
+    if (a.value.i != b.value.i ||
+        std::bit_cast<uint64_t>(a.value.f) !=
+            std::bit_cast<uint64_t>(b.value.f) ||
+        a.value.ref != b.value.ref)
+        return "return value differs";
+    if (fresh.events != recycled.events)
+        return "event trace differs";
+    if (fresh.heapDigest != recycled.heapDigest)
+        return "heap digest differs";
+    if (a.stats.instructions != b.stats.instructions ||
+        a.stats.calls != b.stats.calls ||
+        a.stats.allocations != b.stats.allocations ||
+        a.stats.trapsTaken != b.stats.trapsTaken ||
+        a.stats.speculativeReadsOfNull != b.stats.speculativeReadsOfNull)
+        return "semantic counters differ";
+    return "";
+}
+
+/**
+ * Run @p mod's main on a fresh engine from @p make, and twice on another
+ * with reset() between; the second run must match the fresh one.
+ */
+template <typename MakeEngine>
+void
+expectRecycledRunMatchesFresh(const Module &mod, const char *engineName,
+                              const std::string &program,
+                              MakeEngine make)
+{
+    const FunctionId entry = mod.findFunction("main");
+    auto fresh = make();
+    const RunObservation want = observeRun(*fresh, entry);
+
+    auto engine = make();
+    observeRun(*engine, entry);
+    engine->reset();
+    const RunObservation got = observeRun(*engine, entry);
+    EXPECT_EQ("", observationMismatch(want, got))
+        << program << " on " << engineName;
+}
+
+TEST(NativeRecycledEngine, SecondRunAfterResetMatchesFreshEngine)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    InterpOptions options;
+    options.recordTrace = true;
+    NativeEngineOptions baseline;
+    baseline.backend = NativeBackend::Baseline;
+    NativeEngineOptions optimized;
+    optimized.backend = NativeBackend::Optimized;
+    const TieredOptions tiered{.threshold = 2, .synchronous = true};
+
+    for (const char *presetName : {"big_offset", "mixed"}) {
+        const WorkloadProfile *preset = findWorkloadProfile(presetName);
+        ASSERT_NE(preset, nullptr) << presetName;
+        for (uint64_t seed : {101, 202, 303, 404}) {
+            WorkloadProfile p = *preset;
+            p.seed = seed;
+            std::unique_ptr<Module> mod = generateWorkloadModule(p);
+            Compiler(target, makeNewFullConfig()).compile(*mod);
+            const std::string program =
+                std::string(presetName) + "#" + std::to_string(seed);
+
+            expectRecycledRunMatchesFresh(*mod, "fast", program, [&] {
+                return std::make_unique<FastInterpreter>(*mod, target,
+                                                         options);
+            });
+            expectRecycledRunMatchesFresh(*mod, "native", program, [&] {
+                return std::make_unique<NativeEngine>(
+                    *mod, target, options, nullptr, DecodeOptions{},
+                    nullptr, baseline);
+            });
+            expectRecycledRunMatchesFresh(*mod, "optimized", program, [&] {
+                return std::make_unique<NativeEngine>(
+                    *mod, target, options, nullptr, DecodeOptions{},
+                    nullptr, optimized);
+            });
+            expectRecycledRunMatchesFresh(*mod, "tiered", program, [&] {
+                return std::make_unique<TieredEngine>(
+                    *mod, target, options, nullptr, DecodeOptions{},
+                    tiered);
+            });
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "jit/compiler.h"
 #include "runtime/trap_runtime.h"
 #include "testing/equivalence.h"
+#include "testing/signal_chain.h"
 #include "testing/workload_gen/workload_gen.h"
 
 #if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
@@ -220,6 +224,73 @@ TEST(TrapRuntime, TrapCoverageMatchesPageBounds)
                                           runtime.trapAreaBytes() - 1));
     EXPECT_FALSE(runtime.trapCoversAddress(runtime.simNull() +
                                            runtime.trapAreaBytes()));
+}
+
+// ---------------------------------------------------------------------------
+// Trap recovery under a chained foreign handler
+// ---------------------------------------------------------------------------
+//
+// The guarded accessors recover with sigsetjmp(buf, 0), so the mask the
+// handler ran under survives the siglongjmp.  A foreign handler on top
+// of TrapRuntime's — SIGSEGV in its sa_mask, no SA_NODEFER, forwarding
+// to TrapRuntime — would leave SIGSEGV blocked after the first trap, and
+// the next guarded fault would kill the process.  The runtime restores
+// the interrupted mask; the test runs in a forked child for that reason
+// (the handler is testing/signal_chain.h's).
+
+[[noreturn]] void
+childFail(const char *what, int round)
+{
+    std::fprintf(stderr, "%s (round %d)\n", what, round);
+    std::_Exit(1);
+}
+
+/**
+ * In the forked child: chain a foreign handler over TrapRuntime's,
+ * block SIGUSR1, and take read and write traps repeatedly.  Exits 0
+ * only if every trap recovered through the foreign handler and left the
+ * thread's signal mask exactly as it found it.
+ */
+[[noreturn]] void
+trapUnderChainedHandler()
+{
+    TrapRuntime runtime;
+    if (!chainForeignSegvHandler())
+        childFail("cannot chain over the runtime's handler", 0);
+
+    sigset_t usr1;
+    sigemptyset(&usr1);
+    sigaddset(&usr1, SIGUSR1);
+    pthread_sigmask(SIG_BLOCK, &usr1, nullptr);
+
+    int32_t cell = 0;
+    for (int round = 1; round <= 3; ++round) {
+        sigset_t before, after;
+        pthread_sigmask(SIG_SETMASK, nullptr, &before);
+        if (runtime.guardedReadI32(runtime.simNull() + 8).has_value())
+            childFail("read of the protected page did not trap", round);
+        if (runtime.guardedWriteI32(runtime.simNull() + 16, round))
+            childFail("write to the protected page did not trap", round);
+        pthread_sigmask(SIG_SETMASK, nullptr, &after);
+        if (!sameSignalMask(before, after))
+            childFail("signal mask changed across a trap", round);
+        if (!runtime.guardedWriteI32(reinterpret_cast<uintptr_t>(&cell),
+                                     round) ||
+            runtime.guardedReadI32(reinterpret_cast<uintptr_t>(&cell)) !=
+                round)
+            childFail("access to real memory failed after a trap", round);
+    }
+    if (g_foreignSegvEntries != 6)
+        childFail("not every trap went through the foreign handler", 3);
+    if (runtime.trapsTaken() != 6)
+        childFail("trap count differs", 3);
+    std::_Exit(0);
+}
+
+TEST(TrapRuntimeMaskDeathTest, RecoveryRestoresMaskUnderChainedHandler)
+{
+    EXPECT_EXIT(trapUnderChainedHandler(), ::testing::ExitedWithCode(0),
+                "");
 }
 
 // ---------------------------------------------------------------------------
