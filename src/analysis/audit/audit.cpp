@@ -927,7 +927,7 @@ auditNativeTrapSites(const Function &func, const Target &target,
             const Instruction &inst = bb.insts()[i];
             // Calls are exempt: both backends lower them to the call
             // helper, which re-checks a null virtual receiver in
-            // software (decideNullAccess) — no hardware trap is
+            // software (NativeCore::nullAccess) — no hardware trap is
             // involved, so no NativeTrapSite exists or is needed.
             if (inst.exceptionSite && inst.op != Opcode::Call &&
                 record < df.code.size()) {

@@ -5,6 +5,7 @@
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/code_buffer_pool.h"
+#include "codegen/native/lowering_tables.h"
 #include "codegen/native/native_runtime.h"
 #include "codegen/native/x64_emitter.h"
 #include "ir/layout.h"
@@ -34,54 +35,6 @@ struct StatusStub
     int label;
     TryRegionId tryRegion;
 };
-
-/**
- * Ops with no side effect beyond their destination slot: when linear
- * scan proves the destination is never live (assignment -2), the whole
- * body can be elided — only the budget preamble remains, because the
- * interpreters still retire the instruction.  Anything that can raise,
- * fault, allocate, touch the heap or the trace stays.
- */
-bool
-isElidablePureOp(Opcode op)
-{
-    switch (op) {
-      case Opcode::ConstInt:
-      case Opcode::ConstFloat:
-      case Opcode::ConstNull:
-      case Opcode::Move:
-      case Opcode::IAdd:
-      case Opcode::ISub:
-      case Opcode::IMul:
-      case Opcode::INeg:
-      case Opcode::IAnd:
-      case Opcode::IOr:
-      case Opcode::IXor:
-      case Opcode::IShl:
-      case Opcode::IShr:
-      case Opcode::IUshr:
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::FNeg:
-      case Opcode::FExp:
-      case Opcode::FSqrt:
-      case Opcode::FSin:
-      case Opcode::FCos:
-      case Opcode::FAbs:
-      case Opcode::FLog:
-      case Opcode::I2F:
-      case Opcode::F2I:
-      case Opcode::I2L:
-      case Opcode::L2I:
-      case Opcode::ICmp:
-      case Opcode::FCmp:
-        return true;
-      default:
-        return false;
-    }
-}
 
 /**
  * Ops eligible for integer-chain fusion: pure two-address ALU records
@@ -121,20 +74,6 @@ isCommutativeAlu(Opcode op)
     }
 }
 
-X64Cond
-icmpCond(CmpPred pred)
-{
-    switch (pred) {
-      case CmpPred::EQ: return CC::E;
-      case CmpPred::NE: return CC::NE;
-      case CmpPred::LT: return CC::L;
-      case CmpPred::LE: return CC::LE;
-      case CmpPred::GT: return CC::G;
-      case CmpPred::GE: return CC::GE;
-    }
-    TRAPJIT_PANIC("bad predicate");
-}
-
 /** Condition after swapping the compare's operands (a<b ⟺ b>a). */
 X64Cond
 swapIcmpCond(X64Cond cond)
@@ -146,12 +85,6 @@ swapIcmpCond(X64Cond cond)
       case CC::GE: return CC::LE;
       default: return cond; // E / NE are symmetric
     }
-}
-
-uint64_t
-helperAddr(uint32_t (*fn)(NativeContext *, uint32_t))
-{
-    return reinterpret_cast<uint64_t>(fn);
 }
 
 } // namespace
@@ -176,39 +109,50 @@ NativeCode::findSite(uint32_t off) const
                                                            : nullptr;
 }
 
-Hash128
-nativeCodeKey(const Function &fn, const Target &target,
-              const DecodeOptions &decode_options,
-              const NativeCompileOptions &native_options)
+bool
+isPureOp(Opcode op)
 {
-    Hash128 base = decodedProgramKey(fn, target, decode_options);
-    Hasher h;
-    h.update(std::string_view("native-code-v1"));
-    h.update(base.hi);
-    h.update(base.lo);
-    h.update(static_cast<uint64_t>(native_options.recordTrace ? 1 : 0));
-    h.update(static_cast<uint64_t>(native_options.tiered ? 1 : 0));
-    h.update(static_cast<uint64_t>(native_options.optimized ? 1 : 0));
-    h.update(static_cast<uint64_t>(
-        native_options.optimized && native_options.speculate ? 1 : 0));
-    return h.digest();
+    switch (op) {
+      case Opcode::ConstInt:
+      case Opcode::ConstFloat:
+      case Opcode::ConstNull:
+      case Opcode::Move:
+      case Opcode::IAdd:
+      case Opcode::ISub:
+      case Opcode::IMul:
+      case Opcode::INeg:
+      case Opcode::IAnd:
+      case Opcode::IOr:
+      case Opcode::IXor:
+      case Opcode::IShl:
+      case Opcode::IShr:
+      case Opcode::IUshr:
+      case Opcode::FAdd:
+      case Opcode::FSub:
+      case Opcode::FMul:
+      case Opcode::FDiv:
+      case Opcode::FNeg:
+      case Opcode::FExp:
+      case Opcode::FSqrt:
+      case Opcode::FSin:
+      case Opcode::FCos:
+      case Opcode::FAbs:
+      case Opcode::FLog:
+      case Opcode::I2F:
+      case Opcode::F2I:
+      case Opcode::I2L:
+      case Opcode::L2I:
+      case Opcode::ICmp:
+      case Opcode::FCmp:
+        return true;
+      default:
+        return false;
+    }
 }
 
-NativeCompileResult
-compileNative(const Function &fn, const DecodedFunction &df,
-              const NativeCompileOptions &options)
+std::string
+unsupportedOpcodeReason(const DecodedFunction &df)
 {
-    if (options.optimized)
-        return compileNativeOptimized(fn, df, options);
-    (void)fn; // identity lives in the cache key; codegen is decode-only
-    NativeCompileResult out;
-    if (!nativeTierSupported()) {
-        out.unsupportedReason = "native tier requires x86-64 Linux";
-        return out;
-    }
-
-    // Every srcOp the decoder can produce is lowerable today; the scan
-    // stays so a future opcode degrades to fallback, not miscompilation.
     for (const DecodedInst &rec : df.code) {
         switch (rec.srcOp) {
           case Opcode::ConstInt:
@@ -262,11 +206,61 @@ compileNative(const Function &fn, const DecodedFunction &df,
           case Opcode::Nop:
             break;
           default:
-            out.unsupportedReason = std::string("unsupported opcode ") +
-                                    opcodeName(rec.srcOp);
-            return out;
+            return std::string("unsupported opcode ") +
+                   opcodeName(rec.srcOp);
         }
     }
+    return "";
+}
+
+X64Cond
+icmpCond(CmpPred pred)
+{
+    switch (pred) {
+      case CmpPred::EQ: return CC::E;
+      case CmpPred::NE: return CC::NE;
+      case CmpPred::LT: return CC::L;
+      case CmpPred::LE: return CC::LE;
+      case CmpPred::GT: return CC::G;
+      case CmpPred::GE: return CC::GE;
+    }
+    TRAPJIT_PANIC("bad predicate");
+}
+
+Hash128
+nativeCodeKey(const Function &fn, const Target &target,
+              const DecodeOptions &decode_options,
+              const NativeCompileOptions &native_options)
+{
+    Hash128 base = decodedProgramKey(fn, target, decode_options);
+    Hasher h;
+    h.update(std::string_view("native-code-v1"));
+    h.update(base.hi);
+    h.update(base.lo);
+    h.update(static_cast<uint64_t>(native_options.recordTrace ? 1 : 0));
+    h.update(static_cast<uint64_t>(native_options.tiered ? 1 : 0));
+    h.update(static_cast<uint64_t>(native_options.optimized ? 1 : 0));
+    h.update(static_cast<uint64_t>(
+        native_options.optimized && native_options.speculate ? 1 : 0));
+    return h.digest();
+}
+
+NativeCompileResult
+compileNative(const Function &fn, const DecodedFunction &df,
+              const NativeCompileOptions &options)
+{
+    if (options.optimized)
+        return compileNativeOptimized(fn, df, options);
+    (void)fn; // identity lives in the cache key; codegen is decode-only
+    NativeCompileResult out;
+    if (!nativeTierSupported()) {
+        out.unsupportedReason = "native tier requires x86-64 Linux";
+        return out;
+    }
+
+    out.unsupportedReason = unsupportedOpcodeReason(df);
+    if (!out.unsupportedReason.empty())
+        return out;
 
     // A destination no record ever reads lets a pure record shrink to
     // its preamble.  Deadness comes from the decoded stream itself (one
@@ -448,7 +442,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                 continue;
             }
             const DecodedInst &rec = df.code[k];
-            if (isElidablePureOp(rec.srcOp))
+            if (isPureOp(rec.srcOp))
                 invalidateWrite(rec.dst);
             else
                 avail.clear();
@@ -456,30 +450,11 @@ compileNative(const Function &fn, const DecodedFunction &df,
     }
     size_t eliminatedCount = 0;
 
-    // Tiered mode swaps every out-of-line helper for its tiered twin:
-    // the twins reach frame state through ctx->activeDf/activeSlots
-    // (published by the prologue) instead of ctx->frame, and report
-    // hard faults through ctx->hardFault instead of status 2.  The
-    // decoded function's address is baked into the code, so tiered
-    // blocks must never enter the content-addressed NativeCodeCache —
-    // the code registry keeps df alive alongside the block.
+    // The decoded function's address is baked into tiered code, so
+    // tiered blocks must never enter the content-addressed
+    // NativeCodeCache — the code registry keeps df alive alongside the
+    // block.
     const bool tiered = options.tiered;
-    uint32_t (*pNewObject)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredNewObject : &trapjitNativeNewObject;
-    uint32_t (*pNewArray)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredNewArray : &trapjitNativeNewArray;
-    uint32_t (*pMath)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredMath : &trapjitNativeMath;
-    uint32_t (*pTraceField)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredTraceFieldWrite
-               : &trapjitNativeTraceFieldWrite;
-    uint32_t (*pTraceArray)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredTraceArrayWrite
-               : &trapjitNativeTraceArrayWrite;
-    uint32_t (*pBudgetFault)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredBudgetFault : &trapjitNativeBudgetFault;
-    int32_t (*pFindHandler)(NativeContext *, uint32_t) =
-        tiered ? &trapjitTieredFindHandler : &trapjitNativeFindHandler;
 
     X64Emitter e;
     const size_t nrec = df.code.size();
@@ -806,7 +781,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
                                          kArrayDataOffset, R::RCX);
                     endSite(begin, i + 3);
                     if (options.recordTrace)
-                        callHelper(pTraceArray,
+                        callHelper(&trapjitNativeTraceArrayWrite,
                                    static_cast<uint32_t>(i + 3));
                 }
                 e.jmpLabel(recLabel[i + 4]);
@@ -876,7 +851,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
         const bool narrow = (rec.flags & kDecodedNarrowDst) != 0;
         const bool wide = !narrow;
 
-        if (rec.dst != kNoValue && isElidablePureOp(rec.srcOp) &&
+        if (rec.dst != kNoValue && isPureOp(rec.srcOp) &&
             foldedUses[rec.dst] == useCount[rec.dst])
             continue; // dead or fully-folded pure record: preamble only
 
@@ -1007,7 +982,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
           case Opcode::F2I:
             // libm / saturating conversion stay in C++ (bit-identical
             // to the interpreters by construction; status always 0).
-            callHelper(pMath, static_cast<uint32_t>(i));
+            callHelper(&trapjitNativeMath, static_cast<uint32_t>(i));
             break;
 
           case Opcode::I2F:
@@ -1155,7 +1130,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
                               R::RCX);
             endSite(begin, i);
             if (options.recordTrace)
-                callHelper(pTraceField, static_cast<uint32_t>(i));
+                callHelper(&trapjitNativeTraceFieldWrite,
+                           static_cast<uint32_t>(i));
             break;
           }
           case Opcode::ArrayLength: {
@@ -1196,16 +1172,17 @@ compileNative(const Function &fn, const DecodedFunction &df,
                                  R::RDX);
             endSite(begin, i);
             if (options.recordTrace)
-                callHelper(pTraceArray, static_cast<uint32_t>(i));
+                callHelper(&trapjitNativeTraceArrayWrite,
+                           static_cast<uint32_t>(i));
             break;
           }
 
           case Opcode::NewObject:
-            callHelper(pNewObject, static_cast<uint32_t>(i));
+            callHelper(&trapjitNativeNewObject, static_cast<uint32_t>(i));
             checkStatus(rec);
             break;
           case Opcode::NewArray:
-            callHelper(pNewArray, static_cast<uint32_t>(i));
+            callHelper(&trapjitNativeNewArray, static_cast<uint32_t>(i));
             checkStatus(rec);
             break;
           case Opcode::Call:
@@ -1321,7 +1298,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
     // through the in-buffer table of absolute record addresses.
     e.bind(lDispatch);
     e.movRegReg(R::RDI, R::R12);
-    e.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(pFindHandler));
+    e.movRegImm64(R::RAX,
+                  reinterpret_cast<uint64_t>(&trapjitNativeFindHandler));
     e.callReg(R::RAX);
     e.cmpRegImm8(R::RAX, -1, false);
     e.jccLabel(CC::E, lUnwind);
@@ -1340,16 +1318,16 @@ compileNative(const Function &fn, const DecodedFunction &df,
     e.storeCtx64(kNativeCtxBudgetOffset, R::R14);
     e.movRegReg(R::RDI, R::R12);
     e.movRegImm32(R::RSI, 0);
-    e.movRegImm64(R::RAX, helperAddr(pBudgetFault));
+    e.movRegImm64(R::RAX, helperAddr(&trapjitNativeBudgetFault));
     e.callReg(R::RAX);
     e.jmpLabel(lUnwind);
 
     for (const StatusStub &s : statuses) {
         e.bind(s.label);
         if (tiered) {
-            // Tiered helpers report hard faults through the context
-            // flag (status is only 0/1); a set flag unwinds the whole
-            // linked chain of frames.
+            // A linked callee unwinds with status 1 whatever the
+            // cause, so tiered stubs tell a hard fault by the context
+            // flag; a set flag unwinds the whole linked chain.
             e.cmpCtx32Imm8(kNativeCtxHardFaultOffset, 0);
             e.jccLabel(CC::NE, lUnwind);
         } else {

@@ -20,11 +20,10 @@
  * tier measures real time — and the engine-side dynamic counters
  * (dispatches, check counts) are not maintained by native code.
  *
- * HardFault discipline: compiled frames carry no C++ unwind tables, so
- * nothing may throw across them.  Any miscompilation detected while
- * native frames are on the stack is *parked* (first message wins), the
- * native frames unwind via their status-code exit, and run() rethrows
- * the parked HardFault with the interpreter-identical message.
+ * The fallback interpreter, the frame pool, HardFault parking and the
+ * JIT helpers live in NativeCore (codegen/native/native_core.h), shared
+ * with the tiered engine; this class adds the per-frame entry with its
+ * sigsetjmp trap recovery, the call helper and the NativeCodeCache.
  */
 
 #include <functional>
@@ -33,8 +32,7 @@
 #include <vector>
 
 #include "codegen/native/native_compiler.h"
-#include "codegen/native/native_runtime.h"
-#include "interp/fast_interpreter.h"
+#include "codegen/native/native_core.h"
 #include "jit/stats.h"
 
 namespace trapjit
@@ -73,7 +71,7 @@ struct NativeEngineOptions
 };
 
 /** Executes a module with the native tier (+ per-function fallback). */
-class NativeEngine
+class NativeEngine : public NativeCore
 {
   public:
     NativeEngine(const Module &mod, const Target &target,
@@ -82,17 +80,9 @@ class NativeEngine
                  DecodeOptions decode_options = {},
                  std::shared_ptr<NativeCodeCache> native_cache = nullptr,
                  NativeEngineOptions engine_options = {});
-    ~NativeEngine();
-
-    NativeEngine(const NativeEngine &) = delete;
-    NativeEngine &operator=(const NativeEngine &) = delete;
 
     /** Execute @p func with @p args; resets nothing between calls. */
     ExecResult run(FunctionId func, const std::vector<RuntimeValue> &args);
-
-    Heap &heap() { return fi_.heap(); }
-    EventTrace &trace() { return fi_.trace(); }
-    const ExecStats &stats() const { return fi_.stats(); }
 
     /** Clear heap, trace and statistics (compiled code is kept). */
     void reset();
@@ -118,19 +108,10 @@ class NativeEngine
      */
     void addOptimizedCounters(ServiceCounters &c) const;
 
-    // ---- internal protocol, called by the extern "C" JIT helpers ----
-    uint32_t helperNewObject(NativeContext &ctx, uint32_t rec);
-    uint32_t helperNewArray(NativeContext &ctx, uint32_t rec);
+    /** trapjitNativeCall: a call from a classic frame (see callFrame). */
     uint32_t helperCall(NativeContext &ctx, uint32_t rec);
-    uint32_t helperMath(NativeContext &ctx, uint32_t rec);
-    uint32_t helperTraceFieldWrite(NativeContext &ctx, uint32_t rec);
-    uint32_t helperTraceArrayWrite(NativeContext &ctx, uint32_t rec);
-    uint32_t helperBudgetFault(NativeContext &ctx, uint32_t rec);
 
   private:
-    using Slot = FastInterpreter::Slot;
-    using FrameResult = FastInterpreter::FrameResult;
-
     /**
      * Dispatch one frame whose arguments sit in the first numParams
      * slots at @p frame (a point in pool_ just past the caller's slot
@@ -149,56 +130,30 @@ class NativeEngine
     bool claimFrame(const DecodedFunction &df, Slot *regs, size_t depth);
 
     /**
-     * Run one compiled frame inside the sigsetjmp trap-recovery loop;
-     * applies the interpreter's null-access decision table to guard
-     * faults and resumes at the next record / the catch handler.
+     * Run one compiled frame under sigsetjmp trap recovery, in a
+     * context of its own.  The trap arm is the one thing the two
+     * lowerings do differently.  Baseline code resumes: resolveNullTrap
+     * decides the trap, and the frame re-enters at the next record or
+     * the catch handler.  Optimized code never resumes after a trap:
+     * the trap becomes a deopt, and the frame continues on the fast
+     * interpreter (FastInterpreter::resumeFrame) with a copy of the
+     * canonical slot file.  Optimized entry statuses: 0 = returned,
+     * 1 = unwound (pending exception or parked HardFault), 2 = deopt,
+     * replay ctx->deoptRecord, 3 = deopt, dispatch the pending
+     * exception from ctx->deoptRecord's try region (the record was
+     * already retired by its helper).
      */
-    FrameResult nativeInvokeFrame(const DecodedFunction &df,
-                                  const NativeCode &nc, Slot *regs,
-                                  size_t depth);
-
-    /**
-     * Run one optimized-backend frame.  Single-shot sigsetjmp: a trap
-     * never resumes native code — it becomes a deopt, and the frame
-     * continues on the fast interpreter (FastInterpreter::resumeFrame)
-     * with a copy of the canonical slot file.  Entry statuses: 0 =
-     * returned, 1 = unwound (pending exception or parked HardFault),
-     * 2 = deopt, replay ctx->deoptRecord, 3 = deopt, dispatch the
-     * pending exception from ctx->deoptRecord's try region (the record
-     * was already retired by its helper).
-     */
-    FrameResult optimizedInvokeFrame(const DecodedFunction &df,
-                                     const NativeCode &nc, Slot *regs,
-                                     size_t depth);
-
-    /**
-     * FastInterpreter::handleNullAccess, native calling convention:
-     * 0 = continue (silent zero), 1 = NPE pending in @p ctx, 2 = hard
-     * unwind (message parked).  Shared by the trap wrapper and the
-     * call helper (null virtual receiver).
-     */
-    uint32_t decideNullAccess(NativeContext &ctx, const DecodedInst &d);
-
-    /** Park @p msg as the run's HardFault (first message wins). */
-    void parkHardFault(std::string msg);
+    FrameResult invokeFrame(const DecodedFunction &df, const NativeCode &nc,
+                            Slot *regs, size_t depth);
 
     /** Compiled entry for @p id (compiling/caching on demand). */
     const NativeCodeCache::Entry &ensureCompiled(FunctionId id);
 
-    const Module &mod_;
-    const Target &target_;
-    InterpOptions options_;
     DecodeOptions decodeOptions_;
     NativeCompileOptions nativeOptions_;
     NativeEngineOptions engineOptions_;
     std::shared_ptr<NativeCodeCache> nativeCache_;
     std::vector<std::shared_ptr<const NativeCodeCache::Entry>> compiled_;
-    FastInterpreter fi_; ///< fallback engine and shared heap/trace/stats
-    /** Every native frame's slot file (see FramePool). */
-    FramePool pool_;
-    bool handlerInstalled_ = false;
-    bool hardFaultPending_ = false;
-    std::string hardFaultMsg_;
 
     // ---- optimized-backend counters ---------------------------------
     // Compile-side totals accumulate on native-cache misses (mirroring

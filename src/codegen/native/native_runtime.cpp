@@ -50,95 +50,28 @@ chainToPrevious(int signo, siginfo_t *info, void *context)
 #if defined(__x86_64__) && defined(__linux__)
 /**
  * Resolve a fault whose PC lies inside a published tiered block: the
- * in-signal-handler equivalent of NativeEngine's trap wrapper.  All
- * decisions mirror FastInterpreter::handleNullAccess bit for bit; the
- * outcome is a rewritten REG_RIP (resume, catch handler, or the
- * block's unwind exit) — no siglongjmp, no per-frame setup.
- * Everything here is async-signal-safe: binary search, flag tests and
- * plain stores; messages are built later, engine-side, from the
- * parked (code, record, function) triple.
+ * in-signal-handler counterpart of the classic frame wrapper.  The
+ * outcome is a rewritten REG_RIP (resume point, catch handler, or the
+ * block's unwind exit) — no siglongjmp, no per-frame setup.  The
+ * engine builds any HardFault message later from what resolveNullTrap
+ * parked in the context.
  */
 void
 resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
                    ucontext_t *uc, siginfo_t *info)
 {
     greg_t *gregs = uc->uc_mcontext.gregs;
-    NativeContext *ctx =
-        reinterpret_cast<NativeContext *>(gregs[REG_R12]);
-    uint64_t *slots = reinterpret_cast<uint64_t *>(gregs[REG_RBX]);
-    uintptr_t pc = static_cast<uintptr_t>(gregs[REG_RIP]);
     uintptr_t fault = reinterpret_cast<uintptr_t>(info->si_addr);
-    const NativeCode &nc = *blk.nc;
-    const DecodedFunction &df = *blk.df;
-
-    const NativeTrapSite *site =
-        nc.findSite(static_cast<uint32_t>(pc - blk.lo));
-    const DecodedInst *rec =
-        site != nullptr ? &df.code[site->recordIndex] : nullptr;
-
-    auto park = [&](TieredPark code) {
-        ctx->parkCode = static_cast<int32_t>(code);
-        ctx->parkRec = site != nullptr ? site->recordIndex : 0;
-        ctx->parkDf = &df;
-        ctx->hardFault = 1;
-        gregs[REG_RIP] =
-            static_cast<greg_t>(blk.lo + nc.unwindOffset);
-    };
-
-    bool inGuard = fault >= run.guardLo && fault < run.guardHi;
-    if (!inGuard || rec == nullptr || slots[rec->a] != 0) {
-        park(TieredPark::Wild);
-        return;
-    }
-    // Loads (and ArrayLength) substitute the zero the interpreter
-    // writes through handleNullAccess's return value — including on
-    // the trap-NPE path, where the write precedes dispatch.
-    auto zeroDst = [&]() {
-        if (rec->dst != kNoValue &&
-            (rec->srcOp == Opcode::GetField ||
-             rec->srcOp == Opcode::ArrayLength ||
-             rec->srcOp == Opcode::ArrayLoad))
-            slots[rec->dst] = 0;
-    };
-    if (rec->flags & kDecodedSpeculative) {
-        if (rec->flags & kDecodedSpecSafe) {
-            ++*run.specReads;
-            zeroDst();
-            gregs[REG_RIP] =
-                static_cast<greg_t>(blk.lo + site->resumeNext);
-        } else {
-            park(TieredPark::SpecUnsafe);
-        }
-        return;
-    }
-    if (rec->flags & kDecodedExceptionSite) {
-        if (rec->flags & kDecodedTrapCovered) {
-            ++*run.trapsTaken;
-            zeroDst();
-            int32_t handler = nativeFindHandlerIndex(
-                df, rec->tryRegion, ExcKind::NullPointer);
-            if (handler >= 0) {
-                gregs[REG_RIP] = static_cast<greg_t>(
-                    blk.lo + nc.recordOffsets[handler]);
-            } else {
-                ctx->pendingKind =
-                    static_cast<int32_t>(ExcKind::NullPointer);
-                ctx->pendingSite = rec->site;
-                gregs[REG_RIP] =
-                    static_cast<greg_t>(blk.lo + nc.unwindOffset);
-            }
-            return;
-        }
-        if (rec->flags & kDecodedIllegalZero) {
-            zeroDst();
-            gregs[REG_RIP] =
-                static_cast<greg_t>(blk.lo + site->resumeNext);
-            return;
-        }
-        park(TieredPark::NotTrapCovered);
-        return;
-    }
-    park(TieredPark::Unchecked);
+    uint32_t resumeAt = 0;
+    bool resumes = resolveNullTrap(
+        *blk.nc, *blk.df, reinterpret_cast<void *>(gregs[REG_RBX]),
+        static_cast<uint32_t>(static_cast<uintptr_t>(gregs[REG_RIP]) -
+                              blk.lo),
+        fault >= run.guardLo && fault < run.guardHi,
+        *reinterpret_cast<NativeContext *>(gregs[REG_R12]), *run.stats,
+        resumeAt);
+    gregs[REG_RIP] = static_cast<greg_t>(
+        blk.lo + (resumes ? resumeAt : blk.nc->unwindOffset));
 }
 #endif
 
@@ -283,26 +216,55 @@ nativeFindHandlerIndex(const DecodedFunction &df, TryRegionId region,
     return -1;
 }
 
-extern "C" int32_t
-trapjitNativeFindHandler(NativeContext *ctx, uint32_t tryRegion)
+bool
+resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
+                void *slots, uint32_t pcOffset, bool inGuard,
+                NativeContext &ctx, ExecStats &stats, uint32_t &resumeAt)
 {
-    const DecodedFunction &df = *ctx->frame->df;
-    int32_t handler = nativeFindHandlerIndex(
-        df, static_cast<TryRegionId>(tryRegion),
-        static_cast<ExcKind>(ctx->pendingKind));
-    if (handler >= 0) {
-        ctx->pendingKind = 0;
-        ctx->pendingSite = 0;
+    uint64_t *r = static_cast<uint64_t *>(slots);
+    const NativeTrapSite *site = nc.findSite(pcOffset);
+    const DecodedInst *rec =
+        site != nullptr ? &df.code[site->recordIndex] : nullptr;
+    NullVerdict verdict = NullVerdict::Wild;
+    if (inGuard && rec != nullptr && r[rec->a] == 0)
+        verdict = classifyNullAccess(rec->flags);
+    if (nullVerdictFaults(verdict)) {
+        ctx.parkVerdict = verdict;
+        ctx.parkRec = site != nullptr ? site->recordIndex : 0;
+        ctx.parkDf = &df;
+        ctx.hardFault = 1;
+        return false;
     }
-    return handler;
+    // Loads (and ArrayLength) substitute the zero the interpreter
+    // writes through handleNullAccess's return value — including on
+    // the trap-NPE path, where the write precedes dispatch.
+    if (rec->dst != kNoValue &&
+        (rec->srcOp == Opcode::GetField ||
+         rec->srcOp == Opcode::ArrayLength ||
+         rec->srcOp == Opcode::ArrayLoad))
+        r[rec->dst] = 0;
+    resumeAt = site->resumeNext;
+    if (verdict == NullVerdict::SpecSafeZero) {
+        ++stats.speculativeReadsOfNull;
+    } else if (verdict == NullVerdict::TrapNpe) {
+        ++stats.trapsTaken;
+        int32_t handler = nativeFindHandlerIndex(df, rec->tryRegion,
+                                                 ExcKind::NullPointer);
+        if (handler < 0) {
+            ctx.pendingKind = static_cast<int32_t>(ExcKind::NullPointer);
+            ctx.pendingSite = rec->site;
+            return false;
+        }
+        resumeAt = nc.recordOffsets[handler];
+    }
+    return true;
 }
 
 extern "C" int32_t
-trapjitTieredFindHandler(NativeContext *ctx, uint32_t tryRegion)
+trapjitNativeFindHandler(NativeContext *ctx, uint32_t tryRegion)
 {
-    const DecodedFunction &df = *ctx->activeDf;
     int32_t handler = nativeFindHandlerIndex(
-        df, static_cast<TryRegionId>(tryRegion),
+        *ctx->activeDf, static_cast<TryRegionId>(tryRegion),
         static_cast<ExcKind>(ctx->pendingKind));
     if (handler >= 0) {
         ctx->pendingKind = 0;

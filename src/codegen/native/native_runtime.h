@@ -16,14 +16,22 @@
  *    status: 0 = continue with the next record, 1 = a Java-level
  *    exception is pending in the context (the caller jumps to the
  *    in-code dispatch stub with the record's try region), 2 = hard
- *    unwind (HardFault recorded engine-side; the caller jumps to the
- *    frame's unwind exit).
+ *    unwind (HardFault parked in the engine and ctx->hardFault set;
+ *    the caller jumps to the frame's unwind exit).  Classic status
+ *    stubs test the status, tiered ones test ctx->hardFault, so one
+ *    helper serves both lowerings.
+ *  - helpers find the executing frame through ctx->activeDf and
+ *    ctx->activeSlots: a tiered block's prologue (and the code after
+ *    each call) publishes them; classic frames get a context of their
+ *    own, filled in C++ before entry.
  *  - helpers NEVER throw C++ exceptions: JIT frames carry no unwind
  *    tables, so a throw crossing them would terminate the process.
- *    HardFaults are parked in the engine and rethrown at the top of
- *    NativeEngine::run.
+ *    HardFaults are parked in the engine (NativeCore) and rethrown at
+ *    the top of run().
  *
- * Trap recovery: each classic native frame enters its code under a
+ * Trap recovery: a guard-page fault at a trap site is decided by
+ * resolveNullTrap (below) in both modes; only how control gets back
+ * differs.  Each classic native frame enters its code under a
  * mask-free sigsetjmp(jmp, 0) with a NativeActivation on a thread-local
  * stack, so a call that takes no trap makes no syscall.  The SIGSEGV
  * handler checks whether the faulting PC lies in the innermost
@@ -33,14 +41,15 @@
  * siglongjmp leaves the handler's mask in place, so the recovery
  * branch restores the recorded one with a single pthread_sigmask —
  * one syscall per trap instead of one per frame, and exact even when
- * a foreign handler that blocks SIGSEGV chains into ours.  The frame wrapper maps the PC to the faulting
- * record's trap site and applies the same null-access decision table
- * as the interpreters (FastInterpreter::handleNullAccess).  Faults
- * that don't match a trap site — or whose reference slot is not
- * actually null — are reported as a HardFault instead of corrupting
- * state.  The handler runs on a per-thread alternate stack
- * (runtime/signal_stack.h) and chains to the previously installed
- * handler for faults outside any activation.
+ * a foreign handler that blocks SIGSEGV chains into ours.  The frame
+ * wrapper then resolves the trap and re-enters the code at the resume
+ * point.  Tiered frames resolve in the handler itself and rewrite RIP
+ * (see below).  Faults that don't match a trap site — or whose
+ * reference slot is not actually null — are reported as a HardFault
+ * (NullVerdict::Wild) instead of corrupting state.  The handler runs
+ * on a per-thread alternate stack (runtime/signal_stack.h) and chains
+ * to the previously installed handler for faults outside any
+ * activation or tiered block.
  *
  * Slot files: both native engines carve every frame's slot file from
  * one FramePool (below); a call stages its arguments straight into
@@ -54,31 +63,22 @@
 #include <vector>
 
 #include "interp/decoded_program.h"
+#include "interp/interpreter.h"
 #include "ir/function.h"
 
 namespace trapjit
 {
 
 class Module;
-class NativeEngine;
-class TieredEngine;
+class NativeCore;
 struct NativeCode;
-
-/** Per-frame execution state the C++ helpers reach through. */
-struct NativeFrame
-{
-    const DecodedFunction *df = nullptr;
-    const NativeCode *nc = nullptr;
-    void *slots = nullptr; ///< FastInterpreter::Slot[numValues]
-    NativeFrame *parent = nullptr;
-};
 
 /**
  * The block JIT code addresses through r12.  The first 80 bytes are
  * the hot fields with hard-coded displacements (static_asserts below);
- * everything after is only touched from C++.  The tiered tier's extra
- * fields (activeDf .. linkedCalls) are dead weight for the classic
- * per-frame native engine, which never reads them.
+ * everything after is only touched from C++.  The pool, depth and
+ * linked-call fields are dead weight for the classic per-frame engine,
+ * which never reads them.
  */
 struct NativeContext
 {
@@ -92,9 +92,9 @@ struct NativeContext
     /** Message parked in the engine; tiered status stubs test this. */
     uint32_t hardFault = 0;
     uint32_t pad_ = 0;
-    /** Function owning the currently executing tiered block. */
+    /** Function of the currently executing frame. */
     const DecodedFunction *activeDf = nullptr;
-    /** Slot base (rbx) of the currently executing tiered frame. */
+    /** Slot base (rbx) of the currently executing frame. */
     void *activeSlots = nullptr;
     /** Frame-pool bump pointer / limit (tiered frames only). */
     uint8_t *poolTop = nullptr;
@@ -113,13 +113,15 @@ struct NativeContext
     uint32_t pad2_ = 0;
 
     // ---- cold, C++-only fields --------------------------------------
-    NativeFrame *frame = nullptr;
-    NativeEngine *engine = nullptr;
-    TieredEngine *tieredEngine = nullptr;
+    NativeCore *engine = nullptr;
+    /** Call depth of a classic frame (tiered frames use depthRemaining). */
     uint32_t depth = 0;
-    /** TieredPark reason left by the SIGSEGV handler (0 = none). */
-    int32_t parkCode = 0;
-    /** Record index of the parked fault inside parkDf. */
+    /**
+     * A faulting null access resolveNullTrap left behind (parkDf null
+     * = none): the engine turns it into the HardFault message once the
+     * frame has unwound, since the SIGSEGV handler may not allocate.
+     */
+    NullVerdict parkVerdict = NullVerdict::Wild;
     uint32_t parkRec = 0;
     const DecodedFunction *parkDf = nullptr;
 };
@@ -253,16 +255,6 @@ struct TieredPcMap
     const TieredBlockRange *find(uintptr_t pc) const;
 };
 
-/** Why the SIGSEGV handler hard-unwound a tiered frame. */
-enum class TieredPark : int32_t
-{
-    None = 0,
-    Wild = 1,           ///< PC without site, or reference not null
-    SpecUnsafe = 2,     ///< speculative access, target forbids it
-    NotTrapCovered = 3, ///< exception site outside the trap area
-    Unchecked = 4,      ///< null dereference with no check at all
-};
-
 /**
  * Thread-scoped fault-resolution descriptor, active while a tiered
  * root call runs.  pcMap is a pointer to the registry's atomic map
@@ -272,8 +264,7 @@ enum class TieredPark : int32_t
 struct TieredRun
 {
     const std::atomic<const TieredPcMap *> *pcMap = nullptr;
-    uint64_t *trapsTaken = nullptr; ///< ExecStats::trapsTaken
-    uint64_t *specReads = nullptr;  ///< ExecStats::speculativeReadsOfNull
+    ExecStats *stats = nullptr; ///< trap and speculative-read counts
     uintptr_t guardLo = 0, guardHi = 0;
     TieredRun *prev = nullptr;
 };
@@ -298,6 +289,28 @@ void nativeUninstallSegvHandler();
 int32_t nativeFindHandlerIndex(const DecodedFunction &df,
                                TryRegionId region, ExcKind kind);
 
+/**
+ * Resolve a guard-page trap at code offset @p pcOffset of @p nc (the
+ * code of @p df, running on slot file @p slots): the shared trap arm of
+ * both native lowerings.  Async-signal-safe — flag tests, a binary
+ * search and plain stores — so the SIGSEGV handler runs it for tiered
+ * blocks and the classic frame wrapper after its siglongjmp.
+ *
+ * Returns true with @p resumeAt set to the code offset execution
+ * continues at (the next record, or the catch handler of a trap NPE);
+ * loads whose null access reads zero get that zero in their
+ * destination slot first.  Returns false when the frame must unwind:
+ * either an uncaught trap NPE is pending in @p ctx, or the access
+ * faults — then the verdict is parked in ctx (parkVerdict/parkRec/
+ * parkDf) and ctx.hardFault is set.  A fault outside the guard region
+ * (@p inGuard false), at no trap site, or through a reference that is
+ * not null is NullVerdict::Wild.
+ */
+bool resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
+                     void *slots, uint32_t pcOffset, bool inGuard,
+                     NativeContext &ctx, ExecStats &stats,
+                     uint32_t &resumeAt);
+
 // ---- helpers called from JIT code (see protocol above) --------------
 extern "C" {
 uint32_t trapjitNativeNewObject(NativeContext *ctx, uint32_t rec);
@@ -312,16 +325,7 @@ uint32_t trapjitNativeBudgetFault(NativeContext *ctx, uint32_t rec);
 /** Handler index for the pending exception, or -1 (clears pending). */
 int32_t trapjitNativeFindHandler(NativeContext *ctx, uint32_t tryRegion);
 
-// ---- tiered-tier helpers (defined in tiered_engine.cpp) -------------
-// Same status protocol, but status 2 never crosses JIT code: hard
-// faults set ctx->hardFault and return 1, and the status stubs test
-// hardFault to pick unwind over dispatch.
-uint32_t trapjitTieredNewObject(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitTieredNewArray(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitTieredMath(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitTieredTraceFieldWrite(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitTieredTraceArrayWrite(NativeContext *ctx, uint32_t rec);
-uint32_t trapjitTieredBudgetFault(NativeContext *ctx, uint32_t rec);
+// ---- tiered-only helpers (defined in tiered_engine.cpp) ---------------
 uint32_t trapjitTieredDepthFault(NativeContext *ctx, uint32_t rec);
 uint32_t trapjitTieredPoolFault(NativeContext *ctx, uint32_t rec);
 /**
@@ -330,8 +334,6 @@ uint32_t trapjitTieredPoolFault(NativeContext *ctx, uint32_t rec);
  * were staged by the call site at ctx->poolTop.
  */
 uint32_t trapjitTieredSlowCall(NativeContext *ctx, uint32_t rec);
-/** trapjitNativeFindHandler, but against ctx->activeDf. */
-int32_t trapjitTieredFindHandler(NativeContext *ctx, uint32_t tryRegion);
 }
 
 } // namespace trapjit

@@ -5,6 +5,7 @@
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/code_buffer_pool.h"
+#include "codegen/native/lowering_tables.h"
 #include "codegen/native/native_mutation_hooks.h"
 #include "codegen/native/native_runtime.h"
 #include "codegen/native/x64_emitter.h"
@@ -72,48 +73,6 @@ struct HelperStub
     uint32_t refund; ///< pre-charged records strictly after `record`
 };
 
-/** Same set as the baseline's isElidablePureOp (separate TU). */
-bool
-isPureOp(Opcode op)
-{
-    switch (op) {
-      case Opcode::ConstInt:
-      case Opcode::ConstFloat:
-      case Opcode::ConstNull:
-      case Opcode::Move:
-      case Opcode::IAdd:
-      case Opcode::ISub:
-      case Opcode::IMul:
-      case Opcode::INeg:
-      case Opcode::IAnd:
-      case Opcode::IOr:
-      case Opcode::IXor:
-      case Opcode::IShl:
-      case Opcode::IShr:
-      case Opcode::IUshr:
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::FNeg:
-      case Opcode::FExp:
-      case Opcode::FSqrt:
-      case Opcode::FSin:
-      case Opcode::FCos:
-      case Opcode::FAbs:
-      case Opcode::FLog:
-      case Opcode::I2F:
-      case Opcode::F2I:
-      case Opcode::I2L:
-      case Opcode::L2I:
-      case Opcode::ICmp:
-      case Opcode::FCmp:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** Defs the SSE path writes straight to the slot, bypassing any home. */
 bool
 isSlotOnlyDefOp(Opcode op)
@@ -171,26 +130,6 @@ isRunTerminator(Opcode op)
     }
 }
 
-X64Cond
-icmpCond(CmpPred pred)
-{
-    switch (pred) {
-      case CmpPred::EQ: return CC::E;
-      case CmpPred::NE: return CC::NE;
-      case CmpPred::LT: return CC::L;
-      case CmpPred::LE: return CC::LE;
-      case CmpPred::GT: return CC::G;
-      case CmpPred::GE: return CC::GE;
-    }
-    TRAPJIT_PANIC("bad predicate");
-}
-
-uint64_t
-helperAddr(uint32_t (*fn)(NativeContext *, uint32_t))
-{
-    return reinterpret_cast<uint64_t>(fn);
-}
-
 bool
 isCallerSavedHome(R r)
 {
@@ -224,66 +163,9 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
         return out;
     }
 
-    // Same lowerable-opcode scan as the baseline: a future opcode
-    // degrades to interpreter fallback, never to miscompilation.
-    for (const DecodedInst &rec : df.code) {
-        switch (rec.srcOp) {
-          case Opcode::ConstInt:
-          case Opcode::ConstFloat:
-          case Opcode::ConstNull:
-          case Opcode::Move:
-          case Opcode::IAdd:
-          case Opcode::ISub:
-          case Opcode::IMul:
-          case Opcode::IDiv:
-          case Opcode::IRem:
-          case Opcode::INeg:
-          case Opcode::IAnd:
-          case Opcode::IOr:
-          case Opcode::IXor:
-          case Opcode::IShl:
-          case Opcode::IShr:
-          case Opcode::IUshr:
-          case Opcode::FAdd:
-          case Opcode::FSub:
-          case Opcode::FMul:
-          case Opcode::FDiv:
-          case Opcode::FNeg:
-          case Opcode::FExp:
-          case Opcode::FSqrt:
-          case Opcode::FSin:
-          case Opcode::FCos:
-          case Opcode::FAbs:
-          case Opcode::FLog:
-          case Opcode::I2F:
-          case Opcode::F2I:
-          case Opcode::I2L:
-          case Opcode::L2I:
-          case Opcode::ICmp:
-          case Opcode::FCmp:
-          case Opcode::NullCheck:
-          case Opcode::BoundCheck:
-          case Opcode::GetField:
-          case Opcode::PutField:
-          case Opcode::ArrayLength:
-          case Opcode::ArrayLoad:
-          case Opcode::ArrayStore:
-          case Opcode::NewObject:
-          case Opcode::NewArray:
-          case Opcode::Call:
-          case Opcode::Jump:
-          case Opcode::Branch:
-          case Opcode::IfNull:
-          case Opcode::Return:
-          case Opcode::Throw:
-          case Opcode::Nop:
-            break;
-          default:
-            out.unsupportedReason = std::string("unsupported opcode ") +
-                                    opcodeName(rec.srcOp);
-            return out;
-        }
-    }
+    out.unsupportedReason = unsupportedOpcodeReason(df);
+    if (!out.unsupportedReason.empty())
+        return out;
 
     const size_t nrec = df.code.size();
 

@@ -46,8 +46,7 @@
 
 #include "codegen/native/code_registry.h"
 #include "codegen/native/native_compiler.h"
-#include "codegen/native/native_runtime.h"
-#include "interp/fast_interpreter.h"
+#include "codegen/native/native_core.h"
 #include "jit/stats.h"
 #include "jit/tier_controller.h"
 
@@ -81,7 +80,8 @@ TieredOptions tieredOptionsFromEnv();
  * thread-safe per instance, but the registry and controller may be
  * shared across engines on different threads.
  */
-class TieredEngine final : public FastInterpreter::TierHooks
+class TieredEngine final : public NativeCore,
+                           public FastInterpreter::TierHooks
 {
   public:
     /**
@@ -100,15 +100,8 @@ class TieredEngine final : public FastInterpreter::TierHooks
                  std::shared_ptr<TierController> controller = nullptr);
     ~TieredEngine() override;
 
-    TieredEngine(const TieredEngine &) = delete;
-    TieredEngine &operator=(const TieredEngine &) = delete;
-
     /** Execute @p func with @p args; resets nothing between calls. */
     ExecResult run(FunctionId func, const std::vector<RuntimeValue> &args);
-
-    Heap &heap() { return fi_.heap_; }
-    EventTrace &trace() { return fi_.trace_; }
-    const ExecStats &stats() const { return fi_.stats_; }
 
     /** Clear heap, trace, stats and hotness; published blocks stay. */
     void reset();
@@ -136,63 +129,37 @@ class TieredEngine final : public FastInterpreter::TierHooks
     /** Fold this engine's tiering counters into @p counters. */
     void addTieringCounters(ServiceCounters &counters) const;
 
-    // ---- helpers called from JIT code via the extern "C" trampolines.
-    // None of these may throw: they run below frames with no unwind
-    // info.  Hard faults are parked in the engine, flagged in the
-    // context and reported as status 1.
-    uint32_t helperNewObject(NativeContext &ctx, uint32_t recIdx);
-    uint32_t helperNewArray(NativeContext &ctx, uint32_t recIdx);
-    uint32_t helperMath(NativeContext &ctx, uint32_t recIdx);
-    uint32_t helperTraceFieldWrite(NativeContext &ctx, uint32_t recIdx);
-    uint32_t helperTraceArrayWrite(NativeContext &ctx, uint32_t recIdx);
-    uint32_t helperBudgetFault(NativeContext &ctx, uint32_t recIdx);
+    // ---- the tiered-only JIT helpers (trapjitTiered*); the shared
+    // ones are NativeCore's.  None of these may throw.
     uint32_t helperDepthFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperPoolFault(NativeContext &ctx, uint32_t recIdx);
     uint32_t helperSlowCall(NativeContext &ctx, uint32_t recIdx);
 
   private:
-    using Slot = FastInterpreter::Slot;
-    using FrameResult = FastInterpreter::FrameResult;
-
     // FastInterpreter::TierHooks
     bool tierInvoke(FunctionId callee, std::vector<Slot> &&args,
                     size_t depth, FrameResult &out) override;
     void tierPromote(FunctionId fn) override;
 
-    /** Route one frame: published block or interpreter fallback. */
-    FrameResult callFrame(FunctionId id, std::vector<Slot> args,
-                          size_t depth);
-    /** Bridge C++ -> tiered code: stage args in the pool, set up the
-     *  context and TieredRun scope, enter, convert the result. */
+    /** Route one root frame (arguments at @p args in the pool):
+     *  published block or interpreter fallback. */
+    FrameResult callFrame(FunctionId id, Slot *args, size_t depth);
+    /** Bridge C++ -> tiered code: stage the arguments at the pool top,
+     *  set up the context and TieredRun scope, enter, convert the
+     *  result. */
     FrameResult enterTiered(const DecodedFunction &df,
-                            const NativeCode &nc, std::vector<Slot> args,
+                            const NativeCode &nc, const Slot *args,
                             size_t depth);
-    /** Fold budget + linked-call counts from the context into stats. */
-    void syncStatsFromCtx(NativeContext &ctx);
-    /** Turn a handler-parked TieredPark code into the engine message. */
-    void consumePark(NativeContext &ctx);
-    void parkHardFault(std::string msg);
-    uint32_t decideNullAccess(NativeContext &ctx, const DecodedInst &d);
     void bumpHotness(FunctionId fn);
 
-    const Module &mod_;
-    const Target &target_;
-    InterpOptions options_;
     TieredOptions tieredOptions_;
     std::shared_ptr<CodeRegistry> registry_;
     std::shared_ptr<TierController> controller_;
-    FastInterpreter fi_;
-    bool handlerInstalled_ = false;
 
     /** Persistent context every tiered frame of this engine shares. */
     NativeContext ctx_;
-    /** Every tiered frame's slot file; ctx_.poolTop bumps through it. */
-    FramePool pool_;
     /** Per-function hotness (calls + back-edges); fi_.tierHot_. */
     std::vector<uint32_t> hotness_;
-
-    bool hardFaultPending_ = false;
-    std::string hardFaultMsg_;
 };
 
 } // namespace trapjit

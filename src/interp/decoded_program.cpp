@@ -7,6 +7,28 @@
 namespace trapjit
 {
 
+std::string
+nullAccessMessage(NullVerdict v, const DecodedFunction &df,
+                  const DecodedInst &d, const Target &target)
+{
+    const std::string site = std::to_string(d.site);
+    switch (v) {
+      case NullVerdict::SpecUnsafe:
+        return "speculative access through null is not safe on " +
+               target.name + " (site " + site + ")";
+      case NullVerdict::NotTrapCovered:
+        return "implicit check at site " + site +
+               " is not trap-covered on " + target.name;
+      case NullVerdict::Unchecked:
+        return std::string("unchecked null dereference: ") +
+               opcodeName(d.srcOp) + " at site " + site;
+      case NullVerdict::Wild:
+        return "wild native memory access in " + df.name;
+      default:
+        TRAPJIT_PANIC("null-access verdict does not fault");
+    }
+}
+
 uint64_t
 cyclesToEighths(double cycles)
 {

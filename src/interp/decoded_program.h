@@ -204,6 +204,57 @@ struct DecodedFunction
 };
 
 /**
+ * What a null access does on the decoding target: the paper's runtime
+ * decision table, read off a record's kDecoded* flags.  The first three
+ * continue (silent zero, or the NPE a trap raises); the rest are
+ * HardFaults.  Wild is never returned by classifyNullAccess — the
+ * native tiers use it for a fault at no trap site, or at one whose
+ * reference is not actually null.
+ */
+enum class NullVerdict : int32_t
+{
+    SpecSafeZero,   ///< speculative read, safe on this target: zero
+    TrapNpe,        ///< trap-covered exception site: NullPointer
+    IllegalZero,    ///< section 5.4 silent-zero read (AIX page zero)
+    SpecUnsafe,     ///< speculative access the target does not allow
+    NotTrapCovered, ///< exception site outside the trap area
+    Unchecked,      ///< null dereference with no check at all
+    Wild,           ///< native fault that matches no null access
+};
+
+/** The decision for a null access by a record with @p flags.  Plain
+ *  flag tests, so the SIGSEGV handler may call it. */
+constexpr NullVerdict
+classifyNullAccess(uint8_t flags)
+{
+    if (flags & kDecodedSpeculative)
+        return (flags & kDecodedSpecSafe) ? NullVerdict::SpecSafeZero
+                                          : NullVerdict::SpecUnsafe;
+    if (flags & kDecodedExceptionSite) {
+        if (flags & kDecodedTrapCovered)
+            return NullVerdict::TrapNpe;
+        return (flags & kDecodedIllegalZero) ? NullVerdict::IllegalZero
+                                             : NullVerdict::NotTrapCovered;
+    }
+    return NullVerdict::Unchecked;
+}
+
+/** Whether @p v ends the run with a HardFault. */
+constexpr bool
+nullVerdictFaults(NullVerdict v)
+{
+    return v >= NullVerdict::SpecUnsafe;
+}
+
+/**
+ * The HardFault message of a faulting verdict @p v at record @p d of
+ * @p df (Wild names only the function; any record of @p df will do).  Every engine reports null-access
+ * faults through this, so their messages agree by construction.
+ */
+std::string nullAccessMessage(NullVerdict v, const DecodedFunction &df,
+                              const DecodedInst &d, const Target &target);
+
+/**
  * Convert a cycle cost to integer eighth-cycles.  Asserts that @p
  * cycles is a non-negative multiple of 1/8: that property is what makes
  * every addition in the reference engine's serial double fold exact, so

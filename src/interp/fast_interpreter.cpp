@@ -92,22 +92,27 @@ FastInterpreter::decoded(FunctionId id)
     return *decoded_[id];
 }
 
-ExecResult
-FastInterpreter::run(FunctionId func, const std::vector<RuntimeValue> &args)
+void
+FastInterpreter::marshalArgs(FunctionId func,
+                             const std::vector<RuntimeValue> &args,
+                             Slot *out) const
 {
-    const DecodedFunction &df = decoded(func);
     const Function &fn = mod_.function(func);
-
-    std::vector<Slot> argv(args.size());
+    TRAPJIT_ASSERT(args.size() == fn.numParams(),
+                   "bad argument count calling ", fn.name());
     for (size_t i = 0; i < args.size(); ++i) {
         switch (fn.value(static_cast<ValueId>(i)).type) {
-          case Type::F64: argv[i].f = args[i].f; break;
-          case Type::Ref: argv[i].ref = args[i].ref; break;
-          default: argv[i].i = args[i].i; break;
+          case Type::F64: out[i].f = args[i].f; break;
+          case Type::Ref: out[i].ref = args[i].ref; break;
+          default: out[i].i = args[i].i; break;
         }
     }
+}
 
-    FrameResult frame = execFrame(df, std::move(argv), 0);
+ExecResult
+FastInterpreter::toExecResult(const DecodedFunction &df,
+                              const FrameResult &frame)
+{
     ExecResult result;
     if (frame.exc.pending()) {
         result.outcome = ExecResult::Outcome::Threw;
@@ -126,38 +131,35 @@ FastInterpreter::run(FunctionId func, const std::vector<RuntimeValue> &args)
     return result;
 }
 
+ExecResult
+FastInterpreter::run(FunctionId func, const std::vector<RuntimeValue> &args)
+{
+    const DecodedFunction &df = decoded(func);
+    std::vector<Slot> argv(args.size());
+    marshalArgs(func, args, argv.data());
+    return toExecResult(df, execFrame(df, std::move(argv), 0));
+}
+
 FastInterpreter::Slot
-FastInterpreter::handleNullAccess(const DecodedInst &d, ThrownExc &exc,
+FastInterpreter::handleNullAccess(const DecodedFunction &df,
+                                  const DecodedInst &d, ThrownExc &exc,
                                   uint64_t &cycles8)
 {
-    const Slot zero{};
-
-    if (d.flags & kDecodedSpeculative) {
-        if (d.flags & kDecodedSpecSafe) {
-            ++stats_.speculativeReadsOfNull;
-            return zero;
-        }
-        throw HardFault("speculative access through null is not safe on " +
-                        target_.name + " (site " + std::to_string(d.site) +
-                        ")");
+    switch (NullVerdict v = classifyNullAccess(d.flags)) {
+      case NullVerdict::SpecSafeZero:
+        ++stats_.speculativeReadsOfNull;
+        break;
+      case NullVerdict::TrapNpe:
+        ++stats_.trapsTaken;
+        cycles8 += trapDispatch8_;
+        exc = ThrownExc{ExcKind::NullPointer, d.site};
+        break;
+      case NullVerdict::IllegalZero:
+        break;
+      default:
+        throw HardFault(nullAccessMessage(v, df, d, target_));
     }
-
-    if (d.flags & kDecodedExceptionSite) {
-        if (d.flags & kDecodedTrapCovered) {
-            ++stats_.trapsTaken;
-            cycles8 += trapDispatch8_;
-            exc = ThrownExc{ExcKind::NullPointer, d.site};
-            return zero;
-        }
-        if (d.flags & kDecodedIllegalZero)
-            return zero;
-        throw HardFault("implicit check at site " + std::to_string(d.site) +
-                        " is not trap-covered on " + target_.name);
-    }
-
-    throw HardFault(std::string("unchecked null dereference: ") +
-                    opcodeName(d.srcOp) + " at site " +
-                    std::to_string(d.site));
+    return Slot{};
 }
 
 // Dispatch mode: computed goto on GNU-compatible compilers, token-
@@ -710,7 +712,7 @@ L_dispatch:
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+            r[rec.dst] = handleNullAccess(df, rec, pending, cycles8);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -737,7 +739,7 @@ L_dispatch:
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            handleNullAccess(rec, pending, cycles8);
+            handleNullAccess(df, rec, pending, cycles8);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -780,7 +782,7 @@ L_dispatch:
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+            r[rec.dst] = handleNullAccess(df, rec, pending, cycles8);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -798,7 +800,7 @@ L_dispatch:
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+            r[rec.dst] = handleNullAccess(df, rec, pending, cycles8);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -828,7 +830,7 @@ L_dispatch:
         Address ref = r[rec.a].ref;
         if (ref == 0) {
             FLUSH_STATS();
-            handleNullAccess(rec, pending, cycles8);
+            handleNullAccess(df, rec, pending, cycles8);
             if (pending.pending())
                 DISPATCH_PENDING(rec);
             ++ip;
@@ -915,7 +917,7 @@ L_dispatch:
             Address recv = r[cargs[0]].ref;
             if (recv == 0) {
                 FLUSH_STATS();
-            handleNullAccess(rec, pending, cycles8);
+            handleNullAccess(df, rec, pending, cycles8);
                 if (pending.pending())
                     DISPATCH_PENDING(rec);
                 ++ip;
@@ -1158,7 +1160,7 @@ L_dispatch:
             Address ref = r[rec.a].ref;
             if (ref == 0) { // implicit-flavor checks don't test the ref
                 FLUSH_STATS();
-                r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+                r[rec.dst] = handleNullAccess(df, rec, pending, cycles8);
                 if (pending.pending())
                     DISPATCH_PENDING(rec);
                 ++ip;
@@ -1214,7 +1216,7 @@ L_dispatch:
             Address ref = r[rec.a].ref;
             if (ref == 0) { // implicit-flavor checks don't test the ref
                 FLUSH_STATS();
-                r[rec.dst] = handleNullAccess(rec, pending, cycles8);
+                r[rec.dst] = handleNullAccess(df, rec, pending, cycles8);
                 if (pending.pending())
                     DISPATCH_PENDING(rec);
                 ++ip;

@@ -101,6 +101,7 @@ class FastInterpreter
     // interpreted call stacks share one heap, trace and stats block.
     // The tiered engine additionally enables the hotness profiling and
     // call-interception hooks declared at the bottom of this class.
+    friend class NativeCore;
     friend class NativeEngine;
     friend class TieredEngine;
 
@@ -129,6 +130,16 @@ class FastInterpreter
     /** Decoded form of @p id, decoding (through the cache) on demand. */
     const DecodedFunction &decoded(FunctionId id);
 
+    /** Write @p args into @p out as @p func's typed parameter slots
+     *  (the argument count must match the function's). */
+    void marshalArgs(FunctionId func, const std::vector<RuntimeValue> &args,
+                     Slot *out) const;
+
+    /** The ExecResult of a root frame of @p df that ended with
+     *  @p frame: typed value or escaped exception, plus the stats. */
+    ExecResult toExecResult(const DecodedFunction &df,
+                            const FrameResult &frame);
+
     FrameResult execFrame(const DecodedFunction &df, std::vector<Slot> args,
                           size_t depth);
 
@@ -153,12 +164,13 @@ class FastInterpreter
                             uint32_t startRecord, ThrownExc pendingIn);
 
     /**
-     * Decoded-form twin of Interpreter::handleNullAccess.  @p cycles8
-     * is the frame's register-resident eighth-cycle accumulator (trap
-     * dispatch charges land there, in reference order).
+     * Decoded-form twin of Interpreter::handleNullAccess, over the
+     * shared classifyNullAccess verdict.  @p cycles8 is the frame's
+     * register-resident eighth-cycle accumulator (trap dispatch charges
+     * land there, in reference order).
      */
-    Slot handleNullAccess(const DecodedInst &d, ThrownExc &exc,
-                          uint64_t &cycles8);
+    Slot handleNullAccess(const DecodedFunction &df, const DecodedInst &d,
+                          ThrownExc &exc, uint64_t &cycles8);
 
     const Module &mod_;
     const Target &target_;

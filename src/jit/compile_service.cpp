@@ -9,6 +9,7 @@
 #include "codegen/native/code_buffer_pool.h"
 #include "ir/module.h"
 #include "ir/serializer.h"
+#include "ir/verifier.h"
 #include "jit/timing.h"
 #include "support/diagnostics.h"
 
@@ -199,6 +200,19 @@ CompileService::compileModules(const std::vector<Module *> &mods,
     size_t totalJobs = 0;
     for (Module *mod : mods) {
         TRAPJIT_ASSERT(mod != nullptr, "compileModules: null module");
+        // A worker's inliner reads callee bodies from the input module,
+        // possibly before the callee's own job has verified it, so under
+        // verification the input is checked here, before any job runs.
+        if (verifiesEachPass(config)) {
+            for (FunctionId f = 0; f < mod->numFunctions(); ++f) {
+                VerifyResult result = verifyFunction(mod->function(f));
+                if (!result.ok())
+                    TRAPJIT_PANIC("IR verification failed in '",
+                                  mod->function(f).name(),
+                                  "' before the first pass:\n",
+                                  result.message());
+            }
+        }
         snaps.push_back(snapshotModule(*mod));
         totalJobs += mod->numFunctions();
     }

@@ -50,15 +50,19 @@ envForcesAudit()
 
 } // namespace
 
+bool
+verifiesEachPass(const PipelineConfig &config)
+{
+    return config.verifyAfterEachPass || envForcesVerification();
+}
+
 std::unique_ptr<PassManager>
 buildPipeline(const PipelineConfig &config)
 {
     AuditMode audit = config.audit;
     if (audit == AuditMode::Off && envForcesAudit())
         audit = AuditMode::Panic;
-    auto pm = std::make_unique<PassManager>(config.verifyAfterEachPass ||
-                                                envForcesVerification(),
-                                            audit);
+    auto pm = std::make_unique<PassManager>(verifiesEachPass(config), audit);
 
     if (config.enableInlining)
         pm->add(std::make_unique<Inliner>(config.inlineBudget, 4000,

@@ -90,6 +90,10 @@ struct PipelineConfig
 /** Build the ordered pass list realizing @p config. */
 std::unique_ptr<PassManager> buildPipeline(const PipelineConfig &config);
 
+/** Whether pipelines built from @p config verify the IR at every pass
+ *  boundary (the config flag, or TRAPJIT_VERIFY_EACH_PASS). */
+bool verifiesEachPass(const PipelineConfig &config);
+
 /**
  * Stable fingerprint of every field of @p config that influences
  * generated code (the name is cosmetic and excluded, as is

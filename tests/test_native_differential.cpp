@@ -23,8 +23,8 @@
  *     must surface as the interpreter-identical NullPointerException,
  *     also when a foreign SIGSEGV handler chains into trapjit's),
  *     mixed native/interpreted call stacks, budget-fault and
- *     call-depth-fault message parity, and the TRAPJIT_INTERP
- *     selector;
+ *     call-depth-fault message parity, one program per null-access
+ *     verdict run on every engine, and the TRAPJIT_INTERP selector;
  *  4. recycled engines: on every engine, a run after reset() matches
  *     a fresh engine's run bit for bit (heap recycle leaves no residue).
  *
@@ -50,6 +50,7 @@
 #include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "interp/fast_interpreter.h"
+#include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "ir/module.h"
 #include "jit/compile_service.h"
@@ -800,6 +801,258 @@ TEST(NativeBudget, BudgetHardFaultMessageMatchesFastInterpreter)
     EXPECT_EQ(fastMessage, nativeMessage);
     EXPECT_EQ(fastCount, nativeCount);
 }
+
+// ---------------------------------------------------------------------------
+// The null-access verdicts, one directed program each
+// ---------------------------------------------------------------------------
+//
+// classifyNullAccess decides what a null access does; every engine acts
+// on that one verdict (the interpreters in software, baseline native
+// and tiered code from the SIGSEGV path, optimized code by deopting
+// into the fast interpreter) and reports faults through one message
+// function.  Each case below drives one verdict through a hand-flagged
+// GetField or virtual Call on main's Ref argument and runs it on the
+// reference and fast interpreters and on the native, optimized and
+// tiered engines: outcome, value, trap counters and HardFault text must
+// agree, and the text must be the one the verdict prescribes.  Wild is
+// native-only: the interpreters bounds-check the non-null reference and
+// fault with their own message, which the case names separately.
+
+enum class Access : uint8_t
+{
+    Field,       ///< v = p.<offset> (I32)
+    VirtualCall, ///< get(p), then v = p.slot0() with no check before it
+};
+
+struct VerdictCase
+{
+    const char *name;
+    Target (*makeTarget)();
+    Access access;
+    bool exceptionSite;
+    bool speculative;
+    int64_t offset;   ///< field offset (Field only)
+    bool caught;      ///< inside a try region catching NullPointer
+    Address receiver; ///< main's argument (0 = null)
+    /** Expected HardFault text: "" = none; "%s" stands for the access's
+     *  site id, "%t" for the target's name. */
+    const char *fault;
+    /** The interpreters' text where it differs (Wild), else null. */
+    const char *interpFault;
+    ExecResult::Outcome outcome;
+    ExcKind exception;
+    int64_t value;
+    uint64_t trapsTaken;
+    uint64_t specReads;
+};
+
+const VerdictCase kVerdictCases[] = {
+    {"SpecSafeZero", makePPCAIXTarget, Access::Field, false, true, 8,
+     false, 0, "", nullptr, ExecResult::Outcome::Returned, ExcKind::None,
+     0, 0, 1},
+    {"TrapNpeCaught", makeIA32WindowsTarget, Access::Field, true, false, 8,
+     true, 0, "", nullptr, ExecResult::Outcome::Returned, ExcKind::None,
+     42, 1, 0},
+    {"TrapNpeUncaught", makeIA32WindowsTarget, Access::Field, true, false,
+     8, false, 0, "", nullptr, ExecResult::Outcome::Threw,
+     ExcKind::NullPointer, 0, 1, 0},
+    {"IllegalZero", makePPCAIXTarget, Access::Field, true, false, 8, false,
+     0, "", nullptr, ExecResult::Outcome::Returned, ExcKind::None, 0, 0,
+     0},
+    {"SpecUnsafe", makeIA32WindowsTarget, Access::Field, false, true, 8,
+     false, 0, "speculative access through null is not safe on %t (site %s)",
+     nullptr, ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+    {"NotTrapCovered", makeIA32WindowsTarget, Access::Field, true, false,
+     8192, false, 0, "implicit check at site %s is not trap-covered on %t",
+     nullptr, ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+    {"Unchecked", makeIA32WindowsTarget, Access::Field, false, false, 8,
+     false, 0, "unchecked null dereference: getfield at site %s", nullptr,
+     ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+    {"Wild", makeIA32WindowsTarget, Access::Field, true, false, 8, false, 8,
+     "wild native memory access in main", "getfield outside the object",
+     ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+    {"VirtualCallTrapNpeCaught", makeIA32WindowsTarget,
+     Access::VirtualCall, true, false, 0, true, 0, "", nullptr,
+     ExecResult::Outcome::Returned, ExcKind::None, 42, 1, 0},
+    {"VirtualCallIllegalZeroSkipsTheCall", makePPCAIXTarget,
+     Access::VirtualCall, true, false, 0, false, 0, "", nullptr,
+     ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+    {"VirtualCallUnchecked", makeIA32WindowsTarget, Access::VirtualCall,
+     false, false, 0, false, 0,
+     "unchecked null dereference: call at site %s", nullptr,
+     ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+};
+
+void
+PrintTo(const VerdictCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/**
+ * main(Ref p): the case's access on p, then return its value.  A caught
+ * case runs the access in a try region whose NullPointer handler
+ * returns 42.  @p site receives the access's site id.
+ */
+std::unique_ptr<Module>
+buildVerdictModule(const VerdictCase &c, SiteId &site)
+{
+    auto mod = std::make_unique<Module>();
+    FunctionId callee = kNoFunction;
+    if (c.access == Access::VirtualCall) {
+        Function &get = mod->addFunction("get", Type::I32);
+        get.addParam(Type::Ref, "this");
+        IRBuilder gb(get);
+        gb.startBlock();
+        gb.ret(gb.constInt(5));
+        callee = get.id();
+    }
+    Function &fn = mod->addFunction("main", Type::I32);
+    ValueId p = fn.addParam(Type::Ref, "p");
+    IRBuilder b(fn);
+    BasicBlock &entry = b.startBlock();
+    TryRegionId region = 0;
+    if (c.caught) {
+        BasicBlock &handler = fn.newBlock();
+        region = fn.addTryRegion(handler.id(), ExcKind::NullPointer);
+        b.atEnd(handler);
+        b.ret(b.constInt(42));
+    }
+    BasicBlock &body = fn.newBlock(region);
+    b.atEnd(entry);
+    b.jump(body);
+    b.atEnd(body);
+    // Emitted by hand: the builder would put an explicit NullCheck in
+    // front, and the verdict is about the access's own null access.
+    Instruction inst;
+    if (c.access == Access::Field) {
+        inst.op = Opcode::GetField;
+        inst.a = p;
+        inst.imm = c.offset;
+    } else {
+        // A call that returns first: it leaves 5 in the tiered
+        // context's return slot, so a skipped call that failed to
+        // keep its old destination would return 5, not 0.
+        b.callStatic(callee, {p}, Type::I32);
+        inst.op = Opcode::Call;
+        inst.callKind = CallKind::Virtual;
+        inst.imm = mod->addVirtualMethod(mod->addClass("C"), callee);
+        inst.args = {p};
+    }
+    inst.dst = fn.addTemp(Type::I32);
+    inst.exceptionSite = c.exceptionSite;
+    inst.speculative = c.speculative;
+    Instruction &access = b.emit(std::move(inst));
+    site = access.site;
+    b.ret(access.dst);
+    return mod;
+}
+
+/** What one engine's run of a verdict program showed. */
+struct VerdictObserved
+{
+    std::string fault;
+    ExecResult::Outcome outcome = ExecResult::Outcome::Returned;
+    ExcKind exception = ExcKind::None;
+    int64_t value = 0;
+    uint64_t trapsTaken = 0;
+    uint64_t specReads = 0;
+};
+
+template <class Engine>
+VerdictObserved
+observeVerdict(Engine &engine, FunctionId entry, Address receiver)
+{
+    VerdictObserved o;
+    try {
+        ExecResult r = engine.run(entry, {RuntimeValue::ofRef(receiver)});
+        o.outcome = r.outcome;
+        o.exception = r.exception;
+        o.value = r.value.i;
+    } catch (const HardFault &fault) {
+        o.fault = fault.what();
+    }
+    o.trapsTaken = engine.stats().trapsTaken;
+    o.specReads = engine.stats().speculativeReadsOfNull;
+    return o;
+}
+
+/** @p pattern with %s replaced by @p site and %t by @p target. */
+std::string
+expandFault(std::string pattern, SiteId site, const std::string &target)
+{
+    for (auto [key, value] : {std::pair<std::string, std::string>{
+                                  "%s", std::to_string(site)},
+                              {"%t", target}}) {
+        size_t at = pattern.find(key);
+        if (at != std::string::npos)
+            pattern.replace(at, key.size(), value);
+    }
+    return pattern;
+}
+
+class NativeNullVerdict : public ::testing::TestWithParam<VerdictCase>
+{
+};
+
+TEST_P(NativeNullVerdict, SameOutcomeAndFaultOnEveryEngine)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    const VerdictCase &c = GetParam();
+    const Target target = c.makeTarget();
+    SiteId site = 0;
+    auto mod = buildVerdictModule(c, site);
+    const FunctionId entry = mod->findFunction("main");
+
+    const std::string fault = expandFault(c.fault, site, target.name);
+    const std::string interpFault =
+        c.interpFault != nullptr ? std::string(c.interpFault) : fault;
+
+    auto expect = [&](const VerdictObserved &o, const std::string &want,
+                      const char *engine) {
+        EXPECT_EQ(want, o.fault) << engine;
+        if (!want.empty())
+            return; // a HardFault run has no outcome to compare
+        EXPECT_EQ(c.outcome, o.outcome) << engine;
+        EXPECT_EQ(c.exception, o.exception) << engine;
+        EXPECT_EQ(c.value, o.value) << engine;
+        EXPECT_EQ(c.trapsTaken, o.trapsTaken) << engine;
+        EXPECT_EQ(c.specReads, o.specReads) << engine;
+    };
+
+    Interpreter reference(*mod, target);
+    expect(observeVerdict(reference, entry, c.receiver), interpFault,
+           "reference");
+    FastInterpreter fast(*mod, target);
+    expect(observeVerdict(fast, entry, c.receiver), interpFault, "fast");
+
+    for (NativeBackend backend :
+         {NativeBackend::Baseline, NativeBackend::Optimized}) {
+        NativeEngineOptions opts;
+        opts.backend = backend;
+        NativeEngine engine(*mod, target, {}, nullptr, {}, nullptr, opts);
+        ASSERT_NE(nullptr, engine.nativeCode(entry))
+            << engine.unsupportedReason(entry);
+        expect(observeVerdict(engine, entry, c.receiver), fault,
+               backend == NativeBackend::Baseline ? "native" : "optimized");
+    }
+
+    // Audit off: the hand-flagged sites are what is under test, and the
+    // block must publish so the run takes the SIGSEGV path in place.
+    TieredOptions tiered;
+    tiered.synchronous = true;
+    tiered.audit = false;
+    TieredEngine tier(*mod, target, {}, nullptr, {}, tiered);
+    tier.promoteNow(entry);
+    ASSERT_NE(nullptr, tier.registry()->published(entry));
+    expect(observeVerdict(tier, entry, c.receiver), fault, "tiered");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Verdicts, NativeNullVerdict, ::testing::ValuesIn(kVerdictCases),
+    [](const ::testing::TestParamInfo<VerdictCase> &info) {
+        return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Cache sharing with the compile service

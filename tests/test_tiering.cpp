@@ -452,6 +452,7 @@ TEST(TieredStress, EightEnginesRacePromotionsUnderInvalidation)
             registry, controller));
 
     std::atomic<int> mismatches{0};
+    std::atomic<size_t> running{kThreads};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (size_t t = 0; t < kThreads; ++t) {
@@ -459,14 +460,16 @@ TEST(TieredStress, EightEnginesRacePromotionsUnderInvalidation)
             for (int i = 0; i < kRunsPerThread; ++i)
                 if (!(tieredRun(*engines[t], *mod) == ref))
                     ++mismatches;
+            --running;
         });
     }
 
-    // Rip published blocks out from under the running engines: both
-    // rel32 targets are valid at every instant and invalidated blocks
-    // stay alive (graveyard), so in-flight frames finish correctly and
-    // later calls fall back to the interpreter until re-promotion.
-    for (int round = 0; round < 50; ++round) {
+    // Rip published blocks out from under the running engines for as
+    // long as any of them runs: both rel32 targets are valid at every
+    // instant and invalidated blocks stay alive (graveyard), so
+    // in-flight frames finish correctly and later calls fall back to
+    // the interpreter until re-promotion.
+    while (running.load() > 0) {
         for (FunctionId f = 0; f < mod->numFunctions(); ++f)
             registry->invalidate(f);
         std::this_thread::yield();
