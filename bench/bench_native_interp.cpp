@@ -5,7 +5,7 @@
  * tier, on jBYTEmark kernels (BM_Native_* — CI uploads the results as
  * BENCH_native.json next to BENCH_interp.json).
  *
- * Four families:
+ * Five families:
  *
  *  - BM_Native_{Reference,Fast,Jit}_<kernel>: the same unoptimized
  *    module (every check explicit, the interpreter benches' shape)
@@ -26,6 +26,10 @@
  *    (CI uploads these as BENCH_tiering.json).  Cold start vs warmed
  *    steady state, direct block linking vs trampoline-only, against
  *    the fused interpreter and per-call-dispatch native baselines.
+ *
+ *  - BM_Interp_CallStorm_{Fast,TieredCold}: a call-only workload-gen
+ *    module, interpreted: the per-call entry cost of interpreted
+ *    frames (CI uploads these with BENCH_tiering.json).
  *
  *  - BM_Heap_Recycle_{Dense,Sparse}: Heap::reset() alone, on a span
  *    written everywhere and on one written in five pages (CI uploads
@@ -229,16 +233,55 @@ enum class TieredMode
     WarmNoLink,
 };
 
-/** Build + compile one workload-gen preset (fixed preset seed). */
+/** Compile @p profile's module under @p config on IA32. */
 std::unique_ptr<Module>
-buildTieredPresetModule(const char *preset)
+buildProfileModule(const WorkloadProfile &profile,
+                   const PipelineConfig &config = makeNewFullConfig())
 {
-    const WorkloadProfile *p = findWorkloadProfile(preset);
-    auto mod = generateWorkloadModule(*p);
+    auto mod = generateWorkloadModule(profile);
     Target target = makeIA32WindowsTarget();
-    Compiler compiler(target, makeNewFullConfig());
+    Compiler compiler(target, config);
     compiler.compile(*mod);
     return mod;
+}
+
+/**
+ * Time back-to-back runs of @p entry on @p engine in the serving-loop
+ * shape: many requests per heap recycle.  The bump arena hands out
+ * pre-zeroed memory, so runs are back to back and the periodic wipe
+ * (identical across engines, proportional to the workload's allocation
+ * volume rather than engine speed) happens off the timed path, as a
+ * server would recycle between batches.  Items are instructions; the
+ * calls_per_run counter says how many calls one run makes.
+ */
+template <typename Engine>
+void
+timeServingRuns(benchmark::State &state, Engine &engine, FunctionId entry)
+{
+    constexpr int kRunsPerReset = 64;
+    // ExecStats accumulate until reset(); report per-run deltas.
+    uint64_t instructionsPerRun = 0, instructionsSeen = 0;
+    uint64_t callsPerRun = 0, callsSeen = 0;
+    int sinceReset = 0;
+    for (auto _ : state) {
+        if (++sinceReset > kRunsPerReset) {
+            state.PauseTiming();
+            engine.reset();
+            sinceReset = 1;
+            instructionsSeen = 0;
+            callsSeen = 0;
+            state.ResumeTiming();
+        }
+        ExecResult r = engine.run(entry, {});
+        benchmark::DoNotOptimize(r.value.i);
+        instructionsPerRun = r.stats.instructions - instructionsSeen;
+        instructionsSeen = r.stats.instructions;
+        callsPerRun = r.stats.calls - callsSeen;
+        callsSeen = r.stats.calls;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(instructionsPerRun) *
+                            state.iterations());
+    state.counters["calls_per_run"] = static_cast<double>(callsPerRun);
 }
 
 void
@@ -246,43 +289,14 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
                    TieredMode mode)
 {
     Target target = makeIA32WindowsTarget();
-    auto mod = buildTieredPresetModule(preset);
+    auto mod = buildProfileModule(*findWorkloadProfile(preset));
     FunctionId entry = mod->findFunction("main");
     InterpOptions options;
     options.recordTrace = false;
 
-    // Serving-loop shape: many requests per heap recycle.  The bump
-    // arena hands out pre-zeroed memory, so runs are back to back and
-    // the periodic wipe (identical across engines, proportional to the
-    // workload's allocation volume rather than engine speed) happens
-    // off the timed path, as a server would recycle between batches.
-    constexpr int kRunsPerReset = 64;
-
-    auto timeRuns = [&](auto &engine) {
-        // ExecStats accumulate until reset(); report per-run deltas.
-        uint64_t instructionsPerRun = 0;
-        uint64_t instructionsSeen = 0;
-        int sinceReset = 0;
-        for (auto _ : state) {
-            if (++sinceReset > kRunsPerReset) {
-                state.PauseTiming();
-                engine.reset();
-                sinceReset = 1;
-                instructionsSeen = 0;
-                state.ResumeTiming();
-            }
-            ExecResult r = engine.run(entry, {});
-            benchmark::DoNotOptimize(r.value.i);
-            instructionsPerRun = r.stats.instructions - instructionsSeen;
-            instructionsSeen = r.stats.instructions;
-        }
-        state.SetItemsProcessed(static_cast<int64_t>(instructionsPerRun) *
-                                state.iterations());
-    };
-
     if (mode == TieredMode::Fast) {
         FastInterpreter interp(*mod, target, options);
-        timeRuns(interp);
+        timeServingRuns(state, interp, entry);
         return;
     }
 
@@ -297,7 +311,7 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
             state.SkipWithError("main did not compile natively");
             return;
         }
-        timeRuns(engine);
+        timeServingRuns(state, engine, entry);
         return;
     }
 
@@ -330,7 +344,7 @@ runTieredBenchmark(benchmark::State &state, const char *preset,
     engine.run(entry, {});
     engine.drainPromotions();
     engine.reset();
-    timeRuns(engine);
+    timeServingRuns(state, engine, entry);
 
     ServiceCounters tiering;
     engine.addTieringCounters(tiering);
@@ -374,6 +388,87 @@ TRAPJIT_TIERED_BENCH(call_web, "call_web");
 TRAPJIT_TIERED_BENCH(pointer_chase, "pointer_chase");
 
 #undef TRAPJIT_TIERED_BENCH
+
+// ---------------------------------------------------------------------------
+// Call-entry storm (BM_Interp_CallStorm_* — CI uploads BENCH_tiering.json)
+// ---------------------------------------------------------------------------
+//
+// The call_web preset with every construct but static calls weighted
+// out (the last kernel, which has no later kernel to call, does
+// arithmetic instead): one run is ~6,000 calls of ~10 instructions
+// each, so its time is the interpreter's per-call entry and exit —
+// argument staging, the callee's slot file, the depth and pool checks.
+//
+//  - BM_Interp_CallStorm_Fast:       the fast interpreter
+//  - BM_Interp_CallStorm_TieredCold: the tiered engine with nothing
+//                                    promoted (threshold never reached),
+//                                    so every call also goes through
+//                                    the tierInvoke hook and bumps the
+//                                    callee's hotness
+
+WorkloadProfile
+callStormProfile()
+{
+    WorkloadProfile p = *findWorkloadProfile("call_web");
+    p.name = "call_storm";
+    p.arithWeight = 0;
+    p.fieldWeight = 0;
+    p.arrayWeight = 0;
+    p.chainWeight = 0;
+    // Static calls only: every kernel keeps a null local, and a
+    // virtual call through it would end the kernel with an NPE.
+    p.virtualWeight = 0;
+    p.tryWeight = 0;
+    p.nullDensityPct = 0;
+    // Every kernel call allocates a Node; keep it small, so thousands
+    // of calls per run stay far from the heap's end.
+    p.bigOffsetPct = 0;
+    p.callFanout = 3;
+    p.mainCalls = 4;
+    return p;
+}
+
+void
+runCallStormBenchmark(benchmark::State &state, bool tiered)
+{
+    Target target = makeIA32WindowsTarget();
+    // Inlining off, so the calls stay calls.
+    PipelineConfig config = makeNewFullConfig();
+    config.enableInlining = false;
+    auto mod = buildProfileModule(callStormProfile(), config);
+    FunctionId entry = mod->findFunction("main");
+    InterpOptions options;
+    options.recordTrace = false;
+    if (!tiered) {
+        FastInterpreter interp(*mod, target, options);
+        timeServingRuns(state, interp, entry);
+        return;
+    }
+    if (!nativeTierSupported()) {
+        state.SkipWithError("native tier requires x86-64 Linux");
+        return;
+    }
+    TieredOptions topts;
+    topts.threshold = 1u << 30;
+    topts.synchronous = true;
+    TieredEngine engine(*mod, target, options, nullptr, {}, topts);
+    timeServingRuns(state, engine, entry);
+}
+
+void
+BM_Interp_CallStorm_Fast(benchmark::State &state)
+{
+    runCallStormBenchmark(state, false);
+}
+
+void
+BM_Interp_CallStorm_TieredCold(benchmark::State &state)
+{
+    runCallStormBenchmark(state, true);
+}
+
+BENCHMARK(BM_Interp_CallStorm_Fast);
+BENCHMARK(BM_Interp_CallStorm_TieredCold);
 
 // ---------------------------------------------------------------------------
 // Heap recycle (BM_Heap_Recycle_* — CI uploads BENCH_heap.json)

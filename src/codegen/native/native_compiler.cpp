@@ -533,7 +533,7 @@ compileNative(const Function &fn, const DecodedFunction &df,
         // the depth check so the depth-fault message can name this
         // callee; the slot file is claimed from the engine's frame
         // pool with an overflow check; non-parameter slots are zeroed
-        // exactly like execFrame's fresh regs vector.
+        // exactly like execFrame's in-place zero-fill.
         e.storeCtx64(kNativeCtxActiveSlotsOffset, R::RBX);
         e.movRegImm64(R::RAX, reinterpret_cast<uint64_t>(&df));
         e.storeCtx64(kNativeCtxActiveDfOffset, R::RAX);

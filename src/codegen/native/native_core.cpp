@@ -22,8 +22,7 @@ NativeCore::NativeCore(const Module &mod, const Target &target,
       fi_(mod, target, options,
           decoded_cache ? std::move(decoded_cache)
                         : std::make_shared<DecodedProgramCache>(),
-          decode_options),
-      pool_(mod, options.maxCallDepth)
+          decode_options)
 {
     if (nativeTierSupported()) {
         nativeInstallSegvHandler();
@@ -50,7 +49,7 @@ NativeCore::beginRun(FunctionId func, const std::vector<RuntimeValue> &args)
 {
     hardFaultPending_ = false;
     hardFaultMsg_.clear();
-    Slot *argv = reinterpret_cast<Slot *>(pool_.begin());
+    Slot *argv = reinterpret_cast<Slot *>(fi_.pool_.begin());
     fi_.marshalArgs(func, args, argv);
     return argv;
 }
@@ -111,14 +110,16 @@ NativeCore::nullAccess(NativeContext &ctx, const DecodedInst &d)
 }
 
 NativeCore::FrameResult
-NativeCore::interpret(const DecodedFunction &df, std::vector<Slot> args,
-                      size_t depth)
+NativeCore::interpret(const DecodedFunction &df, Slot *regs, size_t depth)
 {
     // execFrame can throw HardFault; when native frames sit above us
     // on the C++ stack the throw must not cross their JIT frames, so
-    // it is parked here and rethrown by run().
+    // it is parked here and rethrown by run().  Interpreted frames
+    // keep no stack top of their own (a frame ends at its base plus
+    // its slot count), so the unwind leaves the frame stack as the
+    // caller had it.
     try {
-        return fi_.execFrame(df, std::move(args), depth);
+        return fi_.execFrame(df, regs, depth);
     } catch (const HardFault &fault) {
         parkHardFault(fault.what());
         return FrameResult{};

@@ -10,10 +10,10 @@
  * differ in how a frame is entered and how a trap gets back into it.
  * Everything else is here, once:
  *
- *  - the fallback FastInterpreter (and through it the one heap, event
- *    trace and statistics block mixed native / interpreted call stacks
- *    share), the FramePool every native slot file is carved from, and
- *    the SIGSEGV handler's install / uninstall;
+ *  - the fallback FastInterpreter, and through it the one heap, event
+ *    trace, statistics block and frame stack (FramePool) mixed native /
+ *    interpreted call stacks share; and the SIGSEGV handler's install /
+ *    uninstall;
  *  - HardFault parking: compiled frames carry no C++ unwind tables, so
  *    nothing may throw across them.  A fault detected while native
  *    frames are on the stack is parked (first message wins), the
@@ -71,8 +71,8 @@ class NativeCore
 
     /**
      * Start a root call: clear the parked HardFault and marshal @p args
-     * into the bottom row of the frame pool, which becomes the root
-     * frame's parameter slots.
+     * into the bottom row of the frame stack (fi_.pool_), which becomes
+     * the root frame's parameter slots.
      */
     Slot *beginRun(FunctionId func, const std::vector<RuntimeValue> &args);
 
@@ -134,8 +134,9 @@ class NativeCore
         return 0;
     }
 
-    /** Run @p df on the fallback interpreter, parking its HardFault. */
-    FrameResult interpret(const DecodedFunction &df, std::vector<Slot> args,
+    /** Run @p df on the fallback interpreter, on slot file @p regs (its
+     *  arguments already staged there), parking its HardFault. */
+    FrameResult interpret(const DecodedFunction &df, Slot *regs,
                           size_t depth);
 
     /** The global instruction budget left, as JIT code counts it. */
@@ -163,8 +164,6 @@ class NativeCore
     const Target &target_;
     InterpOptions options_;
     FastInterpreter fi_;
-    /** Every native frame's slot file (see FramePool). */
-    FramePool pool_;
     bool hardFaultPending_ = false;
     std::string hardFaultMsg_;
 

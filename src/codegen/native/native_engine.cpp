@@ -125,9 +125,9 @@ NativeEngine::callFrame(FunctionId id, Slot *frame, size_t depth)
     const DecodedFunction &df = fi_.decoded(id);
     if (entry.code)
         return invokeFrame(df, *entry.code, frame, depth);
-    // Fallback: the whole subtree below this frame runs interpreted.
-    return interpret(df, std::vector<Slot>(frame, frame + df.numParams),
-                     depth);
+    // Fallback: the whole subtree below this frame runs interpreted,
+    // starting on the slots the arguments were staged in.
+    return interpret(df, frame, depth);
 }
 
 bool
@@ -138,8 +138,8 @@ NativeEngine::claimFrame(const DecodedFunction &df, Slot *regs,
         parkHardFault("call depth limit exceeded in " + df.name);
         return false;
     }
-    if (!pool_.fits(regs, df.numValues)) {
-        parkHardFault("native frame pool overflow in " + df.name);
+    if (!fi_.pool_.fits(regs, df.numValues)) {
+        parkHardFault("frame pool overflow in " + df.name);
         return false;
     }
     std::fill(regs + df.numParams, regs + df.numValues, Slot{});
@@ -184,6 +184,8 @@ NativeEngine::invokeFrame(const DecodedFunction &df, const NativeCode &nc,
         ctx.budgetRemaining = act.faultBudget;
         const uint32_t pcOffset =
             static_cast<uint32_t>(act.faultPc - act.codeLo);
+        const bool inGuard = act.faultAddr >= act.guardLo &&
+                             act.faultAddr < act.guardHi;
         if (nc.optimized) {
             // Optimized code never resumes after a trap.  The
             // write-through register allocator keeps the slot file
@@ -192,10 +194,18 @@ NativeEngine::invokeFrame(const DecodedFunction &df, const NativeCode &nc,
             // is refunded and the frame replays on the fast
             // interpreter from the deopt record.
             const NativeTrapSite *site = nc.findSite(pcOffset);
-            if (site == nullptr || site->deoptIndex < 0 ||
-                regs[df.code[site->recordIndex].a].ref != 0) {
+            const DecodedInst *rec =
+                site != nullptr ? &df.code[site->recordIndex] : nullptr;
+            if (rec == nullptr || site->deoptIndex < 0 ||
+                regs[rec->a].ref != 0) {
+                // No null access to replay: a field access outside
+                // its object, or a wild fault.
+                NullVerdict v = nativeFaultVerdict(rec, regs, inGuard);
+                if (v != NullVerdict::OutsideObject)
+                    v = NullVerdict::Wild;
                 parkHardFault(nullAccessMessage(
-                    NullVerdict::Wild, df, df.code.front(), target_));
+                    v, df, rec != nullptr ? *rec : df.code.front(),
+                    target_));
                 status = 1;
             } else {
                 const NativeDeoptInfo &info =
@@ -207,10 +217,8 @@ NativeEngine::invokeFrame(const DecodedFunction &df, const NativeCode &nc,
             break;
         }
         uint32_t resumeAt = 0;
-        if (!resolveNullTrap(nc, df, regs, pcOffset,
-                             act.faultAddr >= act.guardLo &&
-                                 act.faultAddr < act.guardHi,
-                             ctx, fi_.stats_, resumeAt)) {
+        if (!resolveNullTrap(nc, df, regs, pcOffset, inGuard, ctx,
+                             fi_.stats_, resumeAt)) {
             consumePark(ctx);
             status = 1;
             break;
@@ -230,11 +238,10 @@ NativeEngine::invokeFrame(const DecodedFunction &df, const NativeCode &nc,
         // deopt stub refunded every un-retired record, so the
         // interpreter replay is exact: budget faults, traps and
         // null-access decisions land on the same records with the same
-        // messages as a pure interpreter run.
+        // messages as a pure interpreter run.  It resumes on the
+        // frame's own slots; its calls stage past them.
         try {
-            return fi_.resumeFrame(
-                df, std::vector<Slot>(regs, regs + df.numValues), depth,
-                ctx.deoptRecord, pend);
+            return fi_.resumeFrame(df, regs, depth, ctx.deoptRecord, pend);
         } catch (const HardFault &fault) {
             parkHardFault(fault.what());
             return FrameResult{};
@@ -277,8 +284,8 @@ NativeEngine::helperCall(NativeContext &ctx, uint32_t recIdx)
     TRAPJIT_ASSERT(rec.argsCount == cdf.numParams,
                    "bad argument count calling ", cdf.name);
     Slot *staged = r + df.numValues;
-    if (!pool_.fits(staged, rec.argsCount))
-        return fail(ctx, "native frame pool overflow in " + cdf.name);
+    if (!fi_.pool_.fits(staged, rec.argsCount))
+        return fail(ctx, "frame pool overflow in " + cdf.name);
     for (uint32_t k = 0; k < rec.argsCount; ++k)
         staged[k] = r[cargs[k]];
     FrameResult sub = callFrame(callee, staged, ctx.depth + 1);

@@ -114,17 +114,17 @@ class NativeEngine : public NativeCore
   private:
     /**
      * Dispatch one frame whose arguments sit in the first numParams
-     * slots at @p frame (a point in pool_ just past the caller's slot
-     * file): native frames adopt it as their slot file, the
-     * fast-interpreter fallback copies the arguments out.  Never
-     * throws — HardFaults are parked.
+     * slots at @p frame (a point in the frame stack just past the
+     * caller's slot file): native frames and the fast-interpreter
+     * fallback alike adopt it as their slot file.  Never throws —
+     * HardFaults are parked.
      */
     FrameResult callFrame(FunctionId id, Slot *frame, size_t depth);
 
     /**
      * The interpreter's depth check, then claim @p regs as @p df's slot
-     * file: it must fit in pool_, and its non-parameter slots are
-     * zeroed like execFrame's fresh register vector.  False (with the
+     * file: it must fit in the frame stack, and its non-parameter
+     * slots are zeroed like execFrame's.  False (with the
      * HardFault parked) when the frame may not run.
      */
     bool claimFrame(const DecodedFunction &df, Slot *regs, size_t depth);
@@ -136,7 +136,7 @@ class NativeEngine : public NativeCore
      * decides the trap, and the frame re-enters at the next record or
      * the catch handler.  Optimized code never resumes after a trap:
      * the trap becomes a deopt, and the frame continues on the fast
-     * interpreter (FastInterpreter::resumeFrame) with a copy of the
+     * interpreter (FastInterpreter::resumeFrame) in place, on its own
      * canonical slot file.  Optimized entry statuses: 0 = returned,
      * 1 = unwound (pending exception or parked HardFault), 2 = deopt,
      * replay ctx->deoptRecord, 3 = deopt, dispatch the pending

@@ -5,14 +5,11 @@
 #include <cstring>
 #include <mutex>
 
-#include <sys/mman.h>
-
 #if defined(__x86_64__) && defined(__linux__)
 #include <ucontext.h>
 #endif
 
 #include "codegen/native/native_compiler.h"
-#include "ir/module.h"
 #include "runtime/signal_stack.h"
 #include "support/diagnostics.h"
 
@@ -134,25 +131,6 @@ nativePopActivation(NativeActivation *act)
     t_activation = act->prev;
 }
 
-FramePool::FramePool(const Module &mod, size_t maxCallDepth)
-{
-    size_t widest = 1;
-    for (FunctionId f = 0; f < mod.numFunctions(); ++f)
-        widest = std::max(widest, mod.function(f).numValues());
-    bytes_ = (maxCallDepth + 2) * widest * 8;
-    void *mem = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (mem == MAP_FAILED)
-        TRAPJIT_FATAL("cannot reserve a ", bytes_,
-                      "-byte native frame pool");
-    base_ = static_cast<uint8_t *>(mem);
-}
-
-FramePool::~FramePool()
-{
-    munmap(base_, bytes_);
-}
-
 const TieredBlockRange *
 TieredPcMap::find(uintptr_t pc) const
 {
@@ -216,6 +194,18 @@ nativeFindHandlerIndex(const DecodedFunction &df, TryRegionId region,
     return -1;
 }
 
+NullVerdict
+nativeFaultVerdict(const DecodedInst *rec, const void *slots, bool inGuard)
+{
+    if (!inGuard || rec == nullptr)
+        return NullVerdict::Wild;
+    if (static_cast<const uint64_t *>(slots)[rec->a] == 0)
+        return classifyNullAccess(rec->flags);
+    if (rec->srcOp == Opcode::GetField || rec->srcOp == Opcode::PutField)
+        return NullVerdict::OutsideObject;
+    return NullVerdict::Wild;
+}
+
 bool
 resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
                 void *slots, uint32_t pcOffset, bool inGuard,
@@ -225,9 +215,7 @@ resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
     const NativeTrapSite *site = nc.findSite(pcOffset);
     const DecodedInst *rec =
         site != nullptr ? &df.code[site->recordIndex] : nullptr;
-    NullVerdict verdict = NullVerdict::Wild;
-    if (inGuard && rec != nullptr && r[rec->a] == 0)
-        verdict = classifyNullAccess(rec->flags);
+    const NullVerdict verdict = nativeFaultVerdict(rec, slots, inGuard);
     if (nullVerdictFaults(verdict)) {
         ctx.parkVerdict = verdict;
         ctx.parkRec = site != nullptr ? site->recordIndex : 0;

@@ -46,14 +46,23 @@
  * point.  Tiered frames resolve in the handler itself and rewrite RIP
  * (see below).  Faults that don't match a trap site — or whose
  * reference slot is not actually null — are reported as a HardFault
- * (NullVerdict::Wild) instead of corrupting state.  The handler runs
- * on a per-thread alternate stack (runtime/signal_stack.h) and chains
- * to the previously installed handler for faults outside any
- * activation or tiered block.
+ * (NullVerdict::OutsideObject or Wild) instead of corrupting state.
+ * The handler runs on a per-thread alternate stack
+ * (runtime/signal_stack.h) and chains to the previously installed
+ * handler for faults outside any activation or tiered block.
  *
- * Slot files: both native engines carve every frame's slot file from
- * one FramePool (below); a call stages its arguments straight into
- * what becomes the callee's parameter slots.
+ * Slot files: every frame of an engine — interpreted, baseline,
+ * optimized or tiered — sits on the one FramePool
+ * (runtime/frame_pool.h) its FastInterpreter owns.  A callee's slot
+ * file starts where its caller's ends, and every call, whichever tier
+ * makes it, stages its arguments straight into what becomes the
+ * callee's parameter slots; the callee runs there in whatever tier it
+ * is in.  A trap that deoptimizes an optimized frame resumes the fast
+ * interpreter on that frame's own slots.  Tiered code keeps the stack
+ * top in NativeContext::poolTop; an interpreted frame's top is its base
+ * plus its slot count, so a bridge from an interpreted frame into
+ * tiered code enters at the staged arguments and restores poolTop on
+ * the way out.
  */
 
 #include <atomic>
@@ -69,7 +78,6 @@
 namespace trapjit
 {
 
-class Module;
 class NativeCore;
 struct NativeCode;
 
@@ -186,45 +194,6 @@ struct NativeActivation
 void nativePushActivation(NativeActivation *act);
 void nativePopActivation(NativeActivation *act);
 
-/**
- * The slot-file stack both native engines carve their frames from:
- * (maxCallDepth + 2) x the module's widest slot file — one row per
- * live frame at depths 0..maxCallDepth plus the row a call at the
- * depth limit stages its arguments into before the callee's depth
- * check faults.  A callee's slot file starts where its caller's ends,
- * so frames never overlap and a frame that fits its row always fits
- * the pool; anything else is a "native frame pool overflow" HardFault
- * at the frame that would not fit, never a write past the end.
- *
- * The memory is a reserved anonymous mapping: the kernel commits (and
- * zero-fills) a page only when a frame first touches it, so a shallow
- * call tree costs resident memory only for the rows it reached.
- */
-class FramePool
-{
-  public:
-    FramePool(const Module &mod, size_t maxCallDepth);
-    ~FramePool();
-
-    FramePool(const FramePool &) = delete;
-    FramePool &operator=(const FramePool &) = delete;
-
-    uint8_t *begin() const { return base_; }
-    uint8_t *end() const { return base_ + bytes_; }
-
-    /** Whether @p numSlots 8-byte slots starting at @p at (a point
-     *  inside the pool) fit before its end. */
-    bool fits(const void *at, size_t numSlots) const
-    {
-        const auto *p = static_cast<const uint8_t *>(at);
-        return numSlots <= static_cast<size_t>(end() - p) / 8;
-    }
-
-  private:
-    uint8_t *base_ = nullptr;
-    size_t bytes_ = 0;
-};
-
 // ---- tiered-tier trap recovery --------------------------------------
 //
 // Tiered blocks do NOT run under a per-frame sigsetjmp: the handler
@@ -290,6 +259,18 @@ int32_t nativeFindHandlerIndex(const DecodedFunction &df,
                                TryRegionId region, ExcKind kind);
 
 /**
+ * The verdict on a native fault at trap record @p rec (null when the
+ * fault PC is at no trap site) of a frame on slot file @p slots, with
+ * @p inGuard telling whether the fault address lies in the heap guard
+ * region: classifyNullAccess when the record's reference is null;
+ * OutsideObject for a GetField / PutField through a non-null reference
+ * that reached the guard region (the interpreters fault the same access
+ * on their bounds check); Wild otherwise.  Async-signal-safe.
+ */
+NullVerdict nativeFaultVerdict(const DecodedInst *rec, const void *slots,
+                               bool inGuard);
+
+/**
  * Resolve a guard-page trap at code offset @p pcOffset of @p nc (the
  * code of @p df, running on slot file @p slots): the shared trap arm of
  * both native lowerings.  Async-signal-safe — flag tests, a binary
@@ -302,9 +283,8 @@ int32_t nativeFindHandlerIndex(const DecodedFunction &df,
  * destination slot first.  Returns false when the frame must unwind:
  * either an uncaught trap NPE is pending in @p ctx, or the access
  * faults — then the verdict is parked in ctx (parkVerdict/parkRec/
- * parkDf) and ctx.hardFault is set.  A fault outside the guard region
- * (@p inGuard false), at no trap site, or through a reference that is
- * not null is NullVerdict::Wild.
+ * parkDf) and ctx.hardFault is set.  The verdict is
+ * nativeFaultVerdict's.
  */
 bool resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
                      void *slots, uint32_t pcOffset, bool inGuard,

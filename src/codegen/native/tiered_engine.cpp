@@ -57,8 +57,8 @@ TieredEngine::TieredEngine(const Module &mod, const Target &target,
     hotness_.assign(mod_.numFunctions(), 0);
 
     ctx_.engine = this;
-    ctx_.poolTop = pool_.begin();
-    ctx_.poolEnd = pool_.end();
+    ctx_.poolTop = fi_.pool_.begin();
+    ctx_.poolEnd = fi_.pool_.end();
 
     // Wire the interpreter's tiering hooks (friend access).
     fi_.tierHooks_ = this;
@@ -78,7 +78,7 @@ TieredEngine::reset()
     controller_->drain();
     resetCore();
     std::fill(hotness_.begin(), hotness_.end(), 0);
-    ctx_.poolTop = pool_.begin();
+    ctx_.poolTop = fi_.pool_.begin();
     ctx_.hardFault = 0;
     ctx_.parkDf = nullptr;
     ctx_.pendingKind = 0;
@@ -141,7 +141,7 @@ TieredEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
     ctx_.linkedCalls = 0;
     // Unwinds restore the bump pointer frame by frame, so this is a
     // no-op unless a previous run died mid-flight.
-    ctx_.poolTop = pool_.begin();
+    ctx_.poolTop = fi_.pool_.begin();
     Slot *argv = beginRun(func, args);
     return finishRun(func, callFrame(func, argv, 0));
 }
@@ -153,36 +153,36 @@ TieredEngine::callFrame(FunctionId id, Slot *args, size_t depth)
     const NativeCode *nc = registry_->published(id);
     if (nc != nullptr)
         return enterTiered(df, *nc, args, depth);
-    // Cold (or invalidated, or unsupported): interpret, counting this
-    // entry toward the function's hotness.
+    // Cold (or invalidated, or unsupported): interpret in place,
+    // counting this entry toward the function's hotness.
     bumpHotness(id);
-    return interpret(df, std::vector<Slot>(args, args + df.numParams),
-                     depth);
+    return interpret(df, args, depth);
 }
 
 TieredEngine::FrameResult
 TieredEngine::enterTiered(const DecodedFunction &df, const NativeCode &nc,
-                          const Slot *args, size_t depth)
+                          Slot *slots, size_t depth)
 {
     // The checks the block's prologue would fail are made here with
-    // the interpreter's exact messages: the bridge must not stage past
-    // the pool end, and depth must be tested before the pool (the
-    // interpreter faults on depth first).
+    // the interpreter's exact messages, depth first (the interpreter
+    // faults on depth first).
     if (depth > options_.maxCallDepth) {
         parkHardFault("call depth limit exceeded in " + df.name);
         return FrameResult{};
     }
-    Slot *slots = reinterpret_cast<Slot *>(ctx_.poolTop);
-    if (!pool_.fits(slots, df.numValues)) {
-        parkHardFault("native frame pool overflow in " + df.name);
+    if (!fi_.pool_.fits(slots, df.numValues)) {
+        parkHardFault("frame pool overflow in " + df.name);
         return FrameResult{};
     }
-    std::copy(args, args + df.numParams, slots);
 
     // Nested roots (a native chain -> interpreter -> hot callee) find
     // depthRemaining describing the *outer* chain; retarget it to this
-    // bridge's depth and restore on the way out.
+    // bridge's depth and restore on the way out.  The stack top too:
+    // the block's epilogue leaves poolTop at @p slots, the end of the
+    // interpreted caller's frame, while the outer chain's next call
+    // must stage at the end of its own innermost native frame.
     const int64_t savedDepthRemaining = ctx_.depthRemaining;
+    uint8_t *const savedPoolTop = ctx_.poolTop;
     ctx_.depthRemaining =
         static_cast<int64_t>(options_.maxCallDepth) + 1 -
         static_cast<int64_t>(depth);
@@ -199,6 +199,7 @@ TieredEngine::enterTiered(const DecodedFunction &df, const NativeCode &nc,
     tieredExitRun(&scope);
 
     ctx_.depthRemaining = savedDepthRemaining;
+    ctx_.poolTop = savedPoolTop;
     syncStats(ctx_);
     if (status != 0)
         consumePark(ctx_);
@@ -220,8 +221,8 @@ TieredEngine::enterTiered(const DecodedFunction &df, const NativeCode &nc,
 }
 
 bool
-TieredEngine::tierInvoke(FunctionId callee, std::vector<Slot> &&args,
-                         size_t depth, FrameResult &out)
+TieredEngine::tierInvoke(FunctionId callee, Slot *args, size_t depth,
+                         FrameResult &out)
 {
     const NativeCode *nc = registry_->published(callee);
     if (nc == nullptr) {
@@ -229,13 +230,7 @@ TieredEngine::tierInvoke(FunctionId callee, std::vector<Slot> &&args,
         bumpHotness(callee);
         return false;
     }
-    // Consume args, as the hook promises: the dispatch loop leaves its
-    // Call handler by computed goto, which destroys nothing.
-    const std::vector<Slot> argv = std::move(args);
-    const DecodedFunction &df = fi_.decoded(callee);
-    TRAPJIT_ASSERT(argv.size() == df.numParams,
-                   "bad argument count calling ", df.name);
-    out = enterTiered(df, *nc, argv.data(), depth);
+    out = enterTiered(fi_.decoded(callee), *nc, args, depth);
     // Hard faults must unwind the interpreter frames above this call;
     // whoever catches (callFrame or the slow-call helper) re-parks.
     if (hardFaultPending_)
@@ -278,16 +273,18 @@ TieredEngine::helperSlowCall(NativeContext &ctx, uint32_t recIdx)
         return nc->tieredEntry()(&ctx, staged, fi_.heap_.hostBase());
     }
 
-    // Interpreter fallback for a cold callee.  Budget and call counts
-    // move ctx -> stats for the interpreted subtree, then back.
+    // Interpreter fallback for a cold callee, on the staged slots.
+    // Budget and call counts move ctx -> stats for the interpreted
+    // subtree, then back.
+    const DecodedFunction &cdf = fi_.decoded(callee);
+    TRAPJIT_ASSERT(rec.argsCount == cdf.numParams,
+                   "bad argument count calling ", cdf.name);
     bumpHotness(callee);
     syncStats(ctx);
     const size_t depth = static_cast<size_t>(
         static_cast<int64_t>(options_.maxCallDepth) + 1 -
         ctx.depthRemaining);
-    FrameResult sub =
-        interpret(fi_.decoded(callee),
-                  std::vector<Slot>(staged, staged + rec.argsCount), depth);
+    FrameResult sub = interpret(cdf, staged, depth);
     ctx.budgetRemaining = budgetLeft();
     if (hardFaultPending_) {
         ctx.hardFault = 1;
@@ -313,7 +310,7 @@ TieredEngine::helperDepthFault(NativeContext &ctx, uint32_t)
 uint32_t
 TieredEngine::helperPoolFault(NativeContext &ctx, uint32_t)
 {
-    return fail(ctx, "native frame pool overflow in " + ctx.activeDf->name);
+    return fail(ctx, "frame pool overflow in " + ctx.activeDf->name);
 }
 
 // ---- extern "C" trampolines the compiler takes the address of -------

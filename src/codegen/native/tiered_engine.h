@@ -17,11 +17,13 @@
  * ways that make hot call chains cheap:
  *
  *  - One persistent NativeContext is shared by the whole call tree.
- *    A callee's slot file is carved from the engine's FramePool by
- *    the block prologue's bump of ctx.poolTop; call arguments are
- *    staged directly into what becomes the callee's parameter slots
- *    (zero copies).  Classic frames share the pool layout but set up
- *    a context per call in C++.
+ *    A callee's slot file is carved from the engine's one frame stack
+ *    (the FramePool interpreted frames run on too) by the block
+ *    prologue's bump of ctx.poolTop; call arguments are staged
+ *    directly into what becomes the callee's parameter slots (zero
+ *    copies), whether the callee then runs native or interpreted.
+ *    Classic frames share the pool layout but set up a context per
+ *    call in C++.
  *  - Calls between published blocks are patchable rel32 near-calls:
  *    the registry links a site straight at the callee's entry when it
  *    publishes and unlinks it back to the per-site slow stub on
@@ -137,18 +139,19 @@ class TieredEngine final : public NativeCore,
 
   private:
     // FastInterpreter::TierHooks
-    bool tierInvoke(FunctionId callee, std::vector<Slot> &&args,
-                    size_t depth, FrameResult &out) override;
+    bool tierInvoke(FunctionId callee, Slot *args, size_t depth,
+                    FrameResult &out) override;
     void tierPromote(FunctionId fn) override;
 
     /** Route one root frame (arguments at @p args in the pool):
-     *  published block or interpreter fallback. */
+     *  published block or interpreter fallback, either in place. */
     FrameResult callFrame(FunctionId id, Slot *args, size_t depth);
-    /** Bridge C++ -> tiered code: stage the arguments at the pool top,
-     *  set up the context and TieredRun scope, enter, convert the
+    /** Bridge C++ -> tiered code: set up the context and TieredRun
+     *  scope, enter on @p slots (where the arguments were staged),
+     *  restore the outer chain's depth and stack top, convert the
      *  result. */
     FrameResult enterTiered(const DecodedFunction &df,
-                            const NativeCode &nc, const Slot *args,
+                            const NativeCode &nc, Slot *slots,
                             size_t depth);
     void bumpHotness(FunctionId fn);
 

@@ -22,6 +22,11 @@ nullAccessMessage(NullVerdict v, const DecodedFunction &df,
       case NullVerdict::Unchecked:
         return std::string("unchecked null dereference: ") +
                opcodeName(d.srcOp) + " at site " + site;
+      case NullVerdict::OutsideObject:
+        // The interpreters' text for the same access (their bounds
+        // check on the non-null reference).
+        return d.srcOp == Opcode::PutField ? "putfield outside the object"
+                                           : "getfield outside the object";
       case NullVerdict::Wild:
         return "wild native memory access in " + df.name;
       default:

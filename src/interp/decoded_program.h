@@ -207,9 +207,9 @@ struct DecodedFunction
  * What a null access does on the decoding target: the paper's runtime
  * decision table, read off a record's kDecoded* flags.  The first three
  * continue (silent zero, or the NPE a trap raises); the rest are
- * HardFaults.  Wild is never returned by classifyNullAccess — the
- * native tiers use it for a fault at no trap site, or at one whose
- * reference is not actually null.
+ * HardFaults.  OutsideObject and Wild are never returned by
+ * classifyNullAccess — the native tiers use them for a fault whose
+ * reference is not actually null (see nativeFaultVerdict).
  */
 enum class NullVerdict : int32_t
 {
@@ -219,6 +219,9 @@ enum class NullVerdict : int32_t
     SpecUnsafe,     ///< speculative access the target does not allow
     NotTrapCovered, ///< exception site outside the trap area
     Unchecked,      ///< null dereference with no check at all
+    /** Native field access through a non-null reference that landed in
+     *  the heap guard region: the interpreters' bounds-check fault. */
+    OutsideObject,
     Wild,           ///< native fault that matches no null access
 };
 
@@ -248,8 +251,9 @@ nullVerdictFaults(NullVerdict v)
 
 /**
  * The HardFault message of a faulting verdict @p v at record @p d of
- * @p df (Wild names only the function; any record of @p df will do).  Every engine reports null-access
- * faults through this, so their messages agree by construction.
+ * @p df (Wild names only the function; any record of @p df will do).
+ * Every engine reports null-access faults through this, so their
+ * messages agree by construction.
  */
 std::string nullAccessMessage(NullVerdict v, const DecodedFunction &df,
                               const DecodedInst &d, const Target &target);

@@ -1,5 +1,6 @@
 #include "interp/fast_interpreter.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdlib>
@@ -42,7 +43,7 @@ FastInterpreter::FastInterpreter(const Module &mod, const Target &target,
                                  DecodeOptions decode_options)
     : mod_(mod), target_(target), options_(options),
       decodeOptions_(decode_options), cache_(std::move(cache)),
-      heap_(options.heapBytes),
+      heap_(options.heapBytes), pool_(mod, options.maxCallDepth),
       throwCycles8_(cyclesToEighths(target.throwCycles)),
       trapDispatch8_(cyclesToEighths(target.trapDispatchCycles)),
       allocPerByte8_(cyclesToEighths(target.allocPerByteCycles))
@@ -135,9 +136,9 @@ ExecResult
 FastInterpreter::run(FunctionId func, const std::vector<RuntimeValue> &args)
 {
     const DecodedFunction &df = decoded(func);
-    std::vector<Slot> argv(args.size());
-    marshalArgs(func, args, argv.data());
-    return toExecResult(df, execFrame(df, std::move(argv), 0));
+    Slot *argv = reinterpret_cast<Slot *>(pool_.begin());
+    marshalArgs(func, args, argv);
+    return toExecResult(df, execFrame(df, argv, 0));
 }
 
 FastInterpreter::Slot
@@ -292,38 +293,34 @@ FastInterpreter::handleNullAccess(const DecodedFunction &df,
     } while (0)
 
 FastInterpreter::FrameResult
-FastInterpreter::execFrame(const DecodedFunction &df, std::vector<Slot> args,
+FastInterpreter::execFrame(const DecodedFunction &df, Slot *regs,
                            size_t depth)
 {
     if (depth > options_.maxCallDepth)
         throw HardFault("call depth limit exceeded in " + df.name);
-    TRAPJIT_ASSERT(args.size() == df.numParams,
-                   "bad argument count calling ", df.name);
-
-    std::vector<Slot> regs(df.numValues);
-    for (size_t i = 0; i < args.size(); ++i)
-        regs[i] = args[i];
-    return execFrameAt(df, std::move(regs), depth, 0, ThrownExc{});
+    if (!pool_.fits(regs, df.numValues))
+        throw HardFault("frame pool overflow in " + df.name);
+    std::fill(regs + df.numParams, regs + df.numValues, Slot{});
+    return execFrameAt(df, regs, depth, 0, ThrownExc{});
 }
 
 FastInterpreter::FrameResult
-FastInterpreter::resumeFrame(const DecodedFunction &df,
-                             std::vector<Slot> regs, size_t depth,
-                             uint32_t startRecord, ThrownExc pendingIn)
+FastInterpreter::resumeFrame(const DecodedFunction &df, Slot *regs,
+                             size_t depth, uint32_t startRecord,
+                             ThrownExc pendingIn)
 {
-    TRAPJIT_ASSERT(regs.size() == df.numValues,
+    TRAPJIT_ASSERT(pool_.fits(regs, df.numValues),
                    "bad register file resuming ", df.name);
     TRAPJIT_ASSERT(startRecord < df.code.size(),
                    "resume record out of range in ", df.name);
-    return execFrameAt(df, std::move(regs), depth, startRecord, pendingIn);
+    return execFrameAt(df, regs, depth, startRecord, pendingIn);
 }
 
 FastInterpreter::FrameResult
-FastInterpreter::execFrameAt(const DecodedFunction &df,
-                             std::vector<Slot> regs, size_t depth,
-                             uint32_t startRecord, ThrownExc pendingIn)
+FastInterpreter::execFrameAt(const DecodedFunction &df, Slot *const r,
+                             size_t depth, uint32_t startRecord,
+                             ThrownExc pendingIn)
 {
-    Slot *const r = regs.data();
 
     const DecodedInst *const code = df.code.data();
     const DecodedInst *ip = code + startRecord;
@@ -939,20 +936,25 @@ L_dispatch:
         if (callee == kNoFunction || callee >= mod_.numFunctions())
             FAULT("call target unresolved");
 
-        std::vector<Slot> argv;
-        argv.reserve(rec.argsCount);
+        // Stage the arguments straight into the callee's parameter
+        // slots: its slot file starts where this frame's ends.
+        const DecodedFunction &cdf = decoded(callee);
+        TRAPJIT_ASSERT(rec.argsCount == cdf.numParams,
+                       "bad argument count calling ", cdf.name);
+        Slot *const argv = r + df.numValues;
+        if (!pool_.fits(argv, rec.argsCount))
+            FAULT("frame pool overflow in " + cdf.name);
         for (uint32_t k = 0; k < rec.argsCount; ++k)
-            argv.push_back(r[cargs[k]]);
+            argv[k] = r[cargs[k]];
         FLUSH_STATS();
         // The tiered engine intercepts resolved calls: published
-        // callees run natively, cold ones bump their hotness counter
-        // and fall through to the recursive interpretation below
-        // (tierInvoke only consumes argv when it returns true).
+        // callees run natively on the staged slots, cold ones bump
+        // their hotness counter and fall through to the recursive
+        // interpretation below.
         FrameResult sub;
         if (tierHooks_ == nullptr ||
-            !tierHooks_->tierInvoke(callee, std::move(argv), depth + 1,
-                                    sub))
-            sub = execFrame(decoded(callee), std::move(argv), depth + 1);
+            !tierHooks_->tierInvoke(callee, argv, depth + 1, sub))
+            sub = execFrame(cdf, argv, depth + 1);
         RELOAD_STATS();
         if (sub.exc.pending()) {
             pending = sub.exc;

@@ -18,7 +18,12 @@
  * The register file is a packed array of 8-byte union slots rather than
  * the reference engine's three-field RuntimeValue: every IR value has
  * one static type, so one 64-bit lane per register is enough, and Move
- * copies a single machine word.
+ * copies a single machine word.  Register files live on the
+ * interpreter's FramePool (runtime/frame_pool.h), not on the C++ heap:
+ * a call stages its arguments straight into the callee's parameter
+ * slots, just past the caller's slot file, and the callee zero-fills
+ * the rest of its slot file in place — an interpreted call allocates
+ * nothing.  The native engines run their frames on the same pool.
  *
  * Decoded programs are immutable and shareable; pass a
  * DecodedProgramCache (e.g. CompileService::decodedCache()) to reuse
@@ -36,6 +41,7 @@
 #include "interp/interpreter.h"
 #include "ir/module.h"
 #include "runtime/exceptions.h"
+#include "runtime/frame_pool.h"
 #include "runtime/heap.h"
 
 namespace trapjit
@@ -98,7 +104,8 @@ class FastInterpreter
   private:
     // The native tier embeds a FastInterpreter as its per-function
     // fallback engine and drives execFrame directly so mixed native /
-    // interpreted call stacks share one heap, trace and stats block.
+    // interpreted call stacks share one heap, trace, stats block and
+    // frame stack.
     // The tiered engine additionally enables the hotness profiling and
     // call-interception hooks declared at the bottom of this class.
     friend class NativeCore;
@@ -140,28 +147,36 @@ class FastInterpreter
     ExecResult toExecResult(const DecodedFunction &df,
                             const FrameResult &frame);
 
-    FrameResult execFrame(const DecodedFunction &df, std::vector<Slot> args,
+    /**
+     * Run a fresh frame of @p df on slot file @p regs, a point in
+     * pool_ whose first numParams slots hold the arguments: the depth
+     * check, the pool-fit check, then the rest of the slot file is
+     * zeroed in place.  Callees stage their arguments just past
+     * @p regs + numValues.
+     */
+    FrameResult execFrame(const DecodedFunction &df, Slot *regs,
                           size_t depth);
 
     /**
-     * Re-enter a frame at an arbitrary record with an already-built
-     * register file: the deopt path of the optimized native backend.
-     * The slot file is canonical at every record boundary there
-     * (write-through register allocation), so @p regs is the complete
-     * frame state.  A pending exception in @p pendingIn is dispatched
-     * from @p startRecord's try region without re-executing the record
-     * (the native helper already retired it); otherwise execution
-     * resumes by re-executing @p startRecord.  No depth or argument
-     * checks — the frame already passed them when it first entered.
+     * Re-enter a frame at an arbitrary record on its own slot file:
+     * the deopt path of the optimized native backend, which resumes
+     * the frame in place.  The slot file is canonical at every record
+     * boundary there (write-through register allocation), so @p regs
+     * is the complete frame state.  A pending exception in @p pendingIn
+     * is dispatched from @p startRecord's try region without
+     * re-executing the record (the native helper already retired it);
+     * otherwise execution resumes by re-executing @p startRecord.  No
+     * depth or argument checks — the frame already passed them when it
+     * first entered.
      */
-    FrameResult resumeFrame(const DecodedFunction &df,
-                            std::vector<Slot> regs, size_t depth,
-                            uint32_t startRecord, ThrownExc pendingIn);
+    FrameResult resumeFrame(const DecodedFunction &df, Slot *regs,
+                            size_t depth, uint32_t startRecord,
+                            ThrownExc pendingIn);
 
     /** Shared engine of execFrame and resumeFrame. */
-    FrameResult execFrameAt(const DecodedFunction &df,
-                            std::vector<Slot> regs, size_t depth,
-                            uint32_t startRecord, ThrownExc pendingIn);
+    FrameResult execFrameAt(const DecodedFunction &df, Slot *regs,
+                            size_t depth, uint32_t startRecord,
+                            ThrownExc pendingIn);
 
     /**
      * Decoded-form twin of Interpreter::handleNullAccess, over the
@@ -181,6 +196,8 @@ class FastInterpreter
     Heap heap_;
     EventTrace trace_;
     ExecStats stats_;
+    /** Every frame's slot file, interpreted or native (see FramePool). */
+    FramePool pool_;
 
     // Target charges pre-scaled to eighth-cycles (see cyclesToEighths).
     uint64_t throwCycles8_;
@@ -200,18 +217,19 @@ class FastInterpreter
 
 /**
  * Call-outs from the dispatch loop into the tiered engine.  tierInvoke
- * is offered every resolved call (stats_ flushed around it): it either
- * executes the callee natively, filling @p out and consuming @p args,
- * or returns false with @p args untouched and the interpreter runs the
- * callee itself.  tierPromote reports a hotness counter crossing the
+ * is offered every resolved call (stats_ flushed around it) with the
+ * arguments already staged at @p args, the callee's slot file on the
+ * frame stack: it either executes the callee natively there, filling
+ * @p out, or returns false and the interpreter runs the callee on the
+ * same slots.  tierPromote reports a hotness counter crossing the
  * threshold; the current frame keeps interpreting either way.
  */
 class FastInterpreter::TierHooks
 {
   public:
     virtual ~TierHooks() = default;
-    virtual bool tierInvoke(FunctionId callee, std::vector<Slot> &&args,
-                            size_t depth, FrameResult &out) = 0;
+    virtual bool tierInvoke(FunctionId callee, Slot *args, size_t depth,
+                            FrameResult &out) = 0;
     virtual void tierPromote(FunctionId fn) = 0;
 };
 

@@ -26,7 +26,11 @@
  *     call-depth-fault message parity, one program per null-access
  *     verdict run on every engine, and the TRAPJIT_INTERP selector;
  *  4. recycled engines: on every engine, a run after reset() matches
- *     a fresh engine's run bit for bit (heap recycle leaves no residue).
+ *     a fresh engine's run bit for bit (heap recycle leaves no residue);
+ *  5. the one frame stack every engine runs on: chains that change
+ *     tier at every frame, at and past the depth limit; a HardFault
+ *     deep in such a chain, then reset(); an optimized frame that
+ *     deopts and then calls from its resumed slots.
  *
  * Everything execution-related skips on hosts without the native tier
  * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
@@ -42,6 +46,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "codegen/check_bytes.h"
@@ -508,11 +513,12 @@ struct RunObservation
 
 template <typename EngineT>
 RunObservation
-observeRun(EngineT &engine, FunctionId entry)
+observeRun(EngineT &engine, FunctionId entry,
+           const std::vector<RuntimeValue> &args = {})
 {
     RunObservation obs;
     try {
-        obs.result = engine.run(entry, {});
+        obs.result = engine.run(entry, args);
         obs.events = engine.trace().events();
         obs.heapDigest = engine.heap().digest();
     } catch (const HardFault &fault) {
@@ -740,6 +746,193 @@ TEST(NativeCallDepth, DepthLimitFaultsIdenticallyOnEveryEngine)
 }
 
 // ---------------------------------------------------------------------------
+// One frame stack across tiers
+// ---------------------------------------------------------------------------
+
+/**
+ * ping(n, p) and pong(n, p): at n == 0 each returns 0 for a null p and
+ * p.<8> otherwise; above that, the other one's value at n - 1, plus
+ * one.  Both are padded with temps to the same, widest slot file, so
+ * a chain of them fills the frame pool's rows exactly.  Run with one
+ * of the two native and the other interpreted, the chain changes tier
+ * at every frame, on the one frame stack.  A p of 8 is a non-null
+ * reference into the heap guard region: the access at the bottom
+ * faults "getfield outside the object" in whichever tier it runs.
+ */
+std::unique_ptr<Module>
+buildPingPongModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &ping = mod->addFunction("ping", Type::I32);
+    Function &pong = mod->addFunction("pong", Type::I32);
+    for (auto [self, other] : {std::pair{&ping, &pong},
+                               std::pair{&pong, &ping}}) {
+        ValueId n = self->addParam(Type::I32, "n");
+        ValueId p = self->addParam(Type::Ref, "p");
+        IRBuilder b(*self);
+        b.startBlock();
+        BasicBlock &base = self->newBlock();
+        BasicBlock &nil = self->newBlock();
+        BasicBlock &read = self->newBlock();
+        BasicBlock &step = self->newBlock();
+        b.branch(b.cmp(Opcode::ICmp, CmpPred::EQ, n, b.constInt(0)), base,
+                 step);
+        b.atEnd(base);
+        b.ifNull(p, nil, read);
+        b.atEnd(nil);
+        b.ret(b.constInt(0));
+        b.atEnd(read);
+        b.ret(b.getField(p, 8, Type::I32));
+        b.atEnd(step);
+        ValueId r = b.callStatic(
+            other->id(), {b.binop(Opcode::ISub, n, b.constInt(1)), p},
+            Type::I32);
+        for (int k = 0; k < 24; ++k)
+            r = b.binop(Opcode::IAdd, r, b.constInt(k == 0 ? 1 : 0));
+        b.ret(r);
+    }
+    return mod;
+}
+
+/** ping native, pong on the fast-interpreter fallback. */
+NativeEngineOptions
+pingNativeOnly(const Module &mod, NativeBackend backend)
+{
+    NativeEngineOptions opts;
+    opts.backend = backend;
+    const FunctionId pong = mod.findFunction("pong");
+    opts.nativeFilter = [pong](FunctionId id) { return id != pong; };
+    return opts;
+}
+
+/** A tiered engine with ping published and pong held cold. */
+std::unique_ptr<TieredEngine>
+makePingTieredEngine(const Module &mod, const Target &target,
+                     const InterpOptions &options)
+{
+    TieredOptions tiered;
+    tiered.threshold = 1u << 30;
+    tiered.synchronous = true;
+    auto engine = std::make_unique<TieredEngine>(mod, target, options,
+                                                 nullptr, DecodeOptions{},
+                                                 tiered);
+    engine->promoteNow(mod.findFunction("ping"));
+    return engine;
+}
+
+TEST(NativeFrameStack, MixedChainAtAndPastTheDepthLimitOnEveryEngine)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildPingPongModule();
+    const FunctionId ping = mod->findFunction("ping");
+
+    for (size_t maxDepth : {size_t{16}, size_t{17},
+                            InterpOptions{}.maxCallDepth}) {
+        InterpOptions options;
+        options.maxCallDepth = maxDepth;
+        const int64_t limit = static_cast<int64_t>(maxDepth);
+        const std::vector<RuntimeValue> atLimit = {
+            RuntimeValue::ofInt(limit), RuntimeValue::ofRef(0)};
+        const std::vector<RuntimeValue> pastLimit = {
+            RuntimeValue::ofInt(limit + 1), RuntimeValue::ofRef(0)};
+        // The frame at depth maxDepth + 1 is ping for an even depth.
+        const std::string want =
+            std::string("call depth limit exceeded in ") +
+            ((maxDepth + 1) % 2 == 0 ? "ping" : "pong");
+
+        FastInterpreter fast(*mod, target, options);
+        const RunObservation fastPast = observeRun(fast, ping, pastLimit);
+        EXPECT_EQ(want, fastPast.fault);
+        const RunObservation fastAt = observeRun(fast, ping, atLimit);
+        ASSERT_FALSE(fastAt.hardFault) << fastAt.fault;
+        ASSERT_EQ(limit, fastAt.result.value.i);
+
+        // Past the limit, then at it, twice: the same engine must come
+        // back with an intact frame stack after the fault unwound.
+        auto expectLimit = [&](auto &engine, const char *name) {
+            for (int round = 0; round < 2; ++round) {
+                const RunObservation past =
+                    observeRun(engine, ping, pastLimit);
+                EXPECT_EQ(want, past.fault)
+                    << name << ", maxCallDepth " << maxDepth;
+                const RunObservation at = observeRun(engine, ping, atLimit);
+                EXPECT_FALSE(at.hardFault)
+                    << name << ": " << at.fault << ", maxCallDepth "
+                    << maxDepth;
+                EXPECT_EQ(ExecResult::Outcome::Returned, at.result.outcome)
+                    << name << ", maxCallDepth " << maxDepth;
+                EXPECT_EQ(limit, at.result.value.i)
+                    << name << ", maxCallDepth " << maxDepth;
+            }
+        };
+        NativeEngine native(*mod, target, options, nullptr, {}, nullptr,
+                            pingNativeOnly(*mod, NativeBackend::Baseline));
+        ASSERT_NE(nullptr, native.nativeCode(ping));
+        expectLimit(native, "native");
+
+        NativeEngine optimized(*mod, target, options, nullptr, {}, nullptr,
+                               pingNativeOnly(*mod,
+                                              NativeBackend::Optimized));
+        ASSERT_NE(nullptr, optimized.nativeCode(ping));
+        expectLimit(optimized, "optimized");
+
+        auto tiered = makePingTieredEngine(*mod, target, options);
+        ASSERT_NE(nullptr, tiered->registry()->published(ping));
+        expectLimit(*tiered, "tiered");
+    }
+}
+
+TEST(NativeFrameStack, HardFaultDeepInMixedChainThenResetMatchesFresh)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildPingPongModule();
+    const FunctionId ping = mod->findFunction("ping");
+    InterpOptions options;
+    options.recordTrace = true;
+
+    // Depth 40 ends in ping, 41 in pong: the fault is raised once in a
+    // native (or tiered) frame and once in an interpreted one.
+    for (int64_t depth : {40, 41}) {
+        const std::vector<RuntimeValue> faulting = {
+            RuntimeValue::ofInt(depth), RuntimeValue::ofRef(8)};
+        const std::vector<RuntimeValue> clean = {
+            RuntimeValue::ofInt(depth), RuntimeValue::ofRef(0)};
+        auto check = [&](const char *name, auto make) {
+            auto fresh = make();
+            const RunObservation want = observeRun(*fresh, ping, clean);
+            ASSERT_FALSE(want.hardFault) << name << ": " << want.fault;
+            EXPECT_EQ(depth, want.result.value.i) << name;
+
+            auto engine = make();
+            const RunObservation fault = observeRun(*engine, ping, faulting);
+            EXPECT_EQ("getfield outside the object", fault.fault)
+                << name << ", depth " << depth;
+            engine->reset();
+            const RunObservation got = observeRun(*engine, ping, clean);
+            EXPECT_EQ("", observationMismatch(want, got))
+                << name << ", depth " << depth;
+        };
+        check("fast", [&] {
+            return std::make_unique<FastInterpreter>(*mod, target, options);
+        });
+        check("native", [&] {
+            return std::make_unique<NativeEngine>(
+                *mod, target, options, nullptr, DecodeOptions{}, nullptr,
+                pingNativeOnly(*mod, NativeBackend::Baseline));
+        });
+        check("optimized", [&] {
+            return std::make_unique<NativeEngine>(
+                *mod, target, options, nullptr, DecodeOptions{}, nullptr,
+                pingNativeOnly(*mod, NativeBackend::Optimized));
+        });
+        check("tiered",
+              [&] { return makePingTieredEngine(*mod, target, options); });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Instruction-budget parity
 // ---------------------------------------------------------------------------
 
@@ -814,13 +1007,15 @@ TEST(NativeBudget, BudgetHardFaultMessageMatchesFastInterpreter)
 // GetField or virtual Call on main's Ref argument and runs it on the
 // reference and fast interpreters and on the native, optimized and
 // tiered engines: outcome, value, trap counters and HardFault text must
-// agree, and the text must be the one the verdict prescribes.  Wild is
-// native-only: the interpreters bounds-check the non-null reference and
-// fault with their own message, which the case names separately.
+// agree, and the text must be the one the verdict prescribes.  The Wild
+// cases fault through a non-null reference that reaches the guard
+// region: the interpreters' bounds check and the native engines'
+// SIGSEGV path (NullVerdict::OutsideObject) must name the same fault.
 
 enum class Access : uint8_t
 {
     Field,       ///< v = p.<offset> (I32)
+    FieldStore,  ///< p.<offset> = 7 (I32), then v = 0
     VirtualCall, ///< get(p), then v = p.slot0() with no check before it
 };
 
@@ -834,11 +1029,9 @@ struct VerdictCase
     int64_t offset;   ///< field offset (Field only)
     bool caught;      ///< inside a try region catching NullPointer
     Address receiver; ///< main's argument (0 = null)
-    /** Expected HardFault text: "" = none; "%s" stands for the access's
-     *  site id, "%t" for the target's name. */
+    /** Expected HardFault text on every engine: "" = none; "%s" stands
+     *  for the access's site id, "%t" for the target's name. */
     const char *fault;
-    /** The interpreters' text where it differs (Wild), else null. */
-    const char *interpFault;
     ExecResult::Outcome outcome;
     ExcKind exception;
     int64_t value;
@@ -848,38 +1041,40 @@ struct VerdictCase
 
 const VerdictCase kVerdictCases[] = {
     {"SpecSafeZero", makePPCAIXTarget, Access::Field, false, true, 8,
-     false, 0, "", nullptr, ExecResult::Outcome::Returned, ExcKind::None,
+     false, 0, "", ExecResult::Outcome::Returned, ExcKind::None,
      0, 0, 1},
     {"TrapNpeCaught", makeIA32WindowsTarget, Access::Field, true, false, 8,
-     true, 0, "", nullptr, ExecResult::Outcome::Returned, ExcKind::None,
+     true, 0, "", ExecResult::Outcome::Returned, ExcKind::None,
      42, 1, 0},
     {"TrapNpeUncaught", makeIA32WindowsTarget, Access::Field, true, false,
-     8, false, 0, "", nullptr, ExecResult::Outcome::Threw,
+     8, false, 0, "", ExecResult::Outcome::Threw,
      ExcKind::NullPointer, 0, 1, 0},
     {"IllegalZero", makePPCAIXTarget, Access::Field, true, false, 8, false,
-     0, "", nullptr, ExecResult::Outcome::Returned, ExcKind::None, 0, 0,
-     0},
+     0, "", ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
     {"SpecUnsafe", makeIA32WindowsTarget, Access::Field, false, true, 8,
      false, 0, "speculative access through null is not safe on %t (site %s)",
-     nullptr, ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+     ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
     {"NotTrapCovered", makeIA32WindowsTarget, Access::Field, true, false,
      8192, false, 0, "implicit check at site %s is not trap-covered on %t",
-     nullptr, ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+     ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
     {"Unchecked", makeIA32WindowsTarget, Access::Field, false, false, 8,
-     false, 0, "unchecked null dereference: getfield at site %s", nullptr,
+     false, 0, "unchecked null dereference: getfield at site %s",
      ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
     {"Wild", makeIA32WindowsTarget, Access::Field, true, false, 8, false, 8,
-     "wild native memory access in main", "getfield outside the object",
-     ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
+     "getfield outside the object", ExecResult::Outcome::Returned,
+     ExcKind::None, 0, 0, 0},
+    {"WildStore", makeIA32WindowsTarget, Access::FieldStore, true, false, 8,
+     false, 8, "putfield outside the object", ExecResult::Outcome::Returned,
+     ExcKind::None, 0, 0, 0},
     {"VirtualCallTrapNpeCaught", makeIA32WindowsTarget,
-     Access::VirtualCall, true, false, 0, true, 0, "", nullptr,
+     Access::VirtualCall, true, false, 0, true, 0, "",
      ExecResult::Outcome::Returned, ExcKind::None, 42, 1, 0},
     {"VirtualCallIllegalZeroSkipsTheCall", makePPCAIXTarget,
-     Access::VirtualCall, true, false, 0, false, 0, "", nullptr,
+     Access::VirtualCall, true, false, 0, false, 0, "",
      ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
     {"VirtualCallUnchecked", makeIA32WindowsTarget, Access::VirtualCall,
      false, false, 0, false, 0,
-     "unchecked null dereference: call at site %s", nullptr,
+     "unchecked null dereference: call at site %s",
      ExecResult::Outcome::Returned, ExcKind::None, 0, 0, 0},
 };
 
@@ -890,9 +1085,9 @@ PrintTo(const VerdictCase &c, std::ostream *os)
 }
 
 /**
- * main(Ref p): the case's access on p, then return its value.  A caught
- * case runs the access in a try region whose NullPointer handler
- * returns 42.  @p site receives the access's site id.
+ * main(Ref p): the case's access on p, then return its value (0 after a
+ * store).  A caught case runs the access in a try region whose
+ * NullPointer handler returns 42.  @p site receives the access's site id.
  */
 std::unique_ptr<Module>
 buildVerdictModule(const VerdictCase &c, SiteId &site)
@@ -925,9 +1120,16 @@ buildVerdictModule(const VerdictCase &c, SiteId &site)
     // Emitted by hand: the builder would put an explicit NullCheck in
     // front, and the verdict is about the access's own null access.
     Instruction inst;
+    ValueId stored = kNoValue;
     if (c.access == Access::Field) {
         inst.op = Opcode::GetField;
         inst.a = p;
+        inst.imm = c.offset;
+    } else if (c.access == Access::FieldStore) {
+        stored = b.constInt(7);
+        inst.op = Opcode::PutField;
+        inst.a = p;
+        inst.b = stored;
         inst.imm = c.offset;
     } else {
         // A call that returns first: it leaves 5 in the tiered
@@ -939,12 +1141,13 @@ buildVerdictModule(const VerdictCase &c, SiteId &site)
         inst.imm = mod->addVirtualMethod(mod->addClass("C"), callee);
         inst.args = {p};
     }
-    inst.dst = fn.addTemp(Type::I32);
+    if (c.access != Access::FieldStore)
+        inst.dst = fn.addTemp(Type::I32);
     inst.exceptionSite = c.exceptionSite;
     inst.speculative = c.speculative;
     Instruction &access = b.emit(std::move(inst));
     site = access.site;
-    b.ret(access.dst);
+    b.ret(access.dst != kNoValue ? access.dst : b.constInt(0));
     return mod;
 }
 
@@ -1005,8 +1208,6 @@ TEST_P(NativeNullVerdict, SameOutcomeAndFaultOnEveryEngine)
     const FunctionId entry = mod->findFunction("main");
 
     const std::string fault = expandFault(c.fault, site, target.name);
-    const std::string interpFault =
-        c.interpFault != nullptr ? std::string(c.interpFault) : fault;
 
     auto expect = [&](const VerdictObserved &o, const std::string &want,
                       const char *engine) {
@@ -1021,10 +1222,10 @@ TEST_P(NativeNullVerdict, SameOutcomeAndFaultOnEveryEngine)
     };
 
     Interpreter reference(*mod, target);
-    expect(observeVerdict(reference, entry, c.receiver), interpFault,
+    expect(observeVerdict(reference, entry, c.receiver), fault,
            "reference");
     FastInterpreter fast(*mod, target);
-    expect(observeVerdict(fast, entry, c.receiver), interpFault, "fast");
+    expect(observeVerdict(fast, entry, c.receiver), fault, "fast");
 
     for (NativeBackend backend :
          {NativeBackend::Baseline, NativeBackend::Optimized}) {
@@ -1291,6 +1492,87 @@ TEST(OptimizedDeopt, BigOffsetProgramsMatchUnderOptimizedBackend)
                 << " / " << arm.makeConfig().name
                 << " (optimized): " << report.message;
         }
+    }
+}
+
+/**
+ * callee(a, b, c) = 3a + b - c, padded with temps its frame zero-fills;
+ * main(z) keeps twelve locals live across a division by z inside a try
+ * region whose handler calls callee twice and sums everything.  With
+ * z = 0 the optimized frame deopts into the handler and makes its calls
+ * from the interpreter: they stage past the resumed frame's slots, and
+ * a callee that zero-filled any of them would change the sum.
+ */
+std::unique_ptr<Module>
+buildDeoptThenCallModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &callee = mod->addFunction("callee", Type::I32);
+    {
+        ValueId a = callee.addParam(Type::I32, "a");
+        ValueId b2 = callee.addParam(Type::I32, "b");
+        ValueId c = callee.addParam(Type::I32, "c");
+        IRBuilder b(callee);
+        b.startBlock();
+        ValueId r = b.binop(Opcode::IMul, a, b.constInt(3));
+        r = b.binop(Opcode::IAdd, r, b2);
+        r = b.binop(Opcode::ISub, r, c);
+        for (int k = 0; k < 32; ++k)
+            r = b.binop(Opcode::IAdd, r, b.constInt(0));
+        b.ret(r);
+    }
+    Function &fn = mod->addFunction("main", Type::I32);
+    ValueId z = fn.addParam(Type::I32, "z");
+    IRBuilder b(fn);
+    BasicBlock &entry = b.startBlock();
+    std::vector<ValueId> locals;
+    for (int k = 0; k < 12; ++k) {
+        ValueId l = fn.addLocal(Type::I32);
+        b.move(l, b.constInt(7 * k + 1));
+        locals.push_back(l);
+    }
+    BasicBlock &handler = fn.newBlock();
+    TryRegionId region = fn.addTryRegion(handler.id(), ExcKind::Arithmetic);
+    BasicBlock &body = fn.newBlock(region);
+    b.atEnd(entry);
+    b.jump(body);
+    b.atEnd(body);
+    b.ret(b.binop(Opcode::IDiv, b.constInt(100), z));
+    b.atEnd(handler);
+    ValueId sum = b.callStatic(callee.id(),
+                               {locals[0], locals[1], locals[2]}, Type::I32);
+    sum = b.binop(Opcode::IAdd, sum,
+                  b.callStatic(callee.id(), {locals[3], locals[4], locals[5]},
+                               Type::I32));
+    for (ValueId l : locals)
+        sum = b.binop(Opcode::IAdd, sum, l);
+    b.ret(sum);
+    return mod;
+}
+
+TEST(OptimizedDeopt, ResumedFrameCallsWithoutClobberingItsSlots)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildDeoptThenCallModule();
+    const FunctionId entry = mod->findFunction("main");
+    const std::vector<RuntimeValue> zero = {RuntimeValue::ofInt(0)};
+
+    FastInterpreter fast(*mod, target);
+    const RunObservation want = observeRun(fast, entry, zero);
+    ASSERT_FALSE(want.hardFault) << want.fault;
+
+    NativeEngineOptions opts;
+    opts.backend = NativeBackend::Optimized;
+    NativeEngine engine(*mod, target, {}, nullptr, {}, nullptr, opts);
+    ASSERT_NE(nullptr, engine.nativeCode(entry))
+        << engine.unsupportedReason(entry);
+    for (int round = 0; round < 2; ++round) {
+        engine.reset();
+        const RunObservation got = observeRun(engine, entry, zero);
+        EXPECT_EQ("", observationMismatch(want, got)) << "round " << round;
+        EXPECT_EQ(want.result.value.i, got.result.value.i);
+        EXPECT_EQ(1u, engine.deoptsTaken()) << "round " << round;
     }
 }
 

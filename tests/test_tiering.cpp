@@ -25,7 +25,8 @@
  *     with bit-identical results at every stage, re-tiering driven by
  *     the interpreter's own hotness counters after invalidation, and
  *     the tiering counters (functionsPromoted, slotsPatched,
- *     blocksLinked, blocksInvalidated, tierUpLatencySeconds);
+ *     blocksLinked, blocksInvalidated, tierUpLatencySeconds), and the
+ *     frame stack's top across tiered -> interpreted -> tiered bridges;
  *  4. an 8-thread promotion stress: engines sharing one CodeRegistry
  *     and TierController race promotions while the main thread
  *     invalidates published blocks under them;
@@ -54,6 +55,7 @@
 #include "codegen/native/tiered_engine.h"
 #include "interp/decoded_program.h"
 #include "interp/fast_interpreter.h"
+#include "ir/builder.h"
 #include "ir/module.h"
 #include "jit/compile_service.h"
 #include "jit/compiler.h"
@@ -415,6 +417,94 @@ TEST(TieredLifecycle, TieringCountersFlowIntoServiceCounters)
     // Unlinking retargets inbound slots back to their stubs, so the
     // patch counter keeps growing on invalidation.
     EXPECT_GE(after.slotsPatched, counters.slotsPatched);
+}
+
+// ---------------------------------------------------------------------------
+// The frame stack across bridges
+// ---------------------------------------------------------------------------
+
+/**
+ * main() { acc = 0; for (i = 0; i < 3000; ++i) acc += mid(i); return acc; }
+ * with mid(i) = leaf(i) * 2 and leaf(i) = i + 1.
+ */
+std::unique_ptr<Module>
+buildBridgeLoopModule()
+{
+    auto mod = std::make_unique<Module>();
+    Function &leaf = mod->addFunction("leaf", Type::I32);
+    {
+        ValueId i = leaf.addParam(Type::I32, "i");
+        IRBuilder b(leaf);
+        b.startBlock();
+        b.ret(b.binop(Opcode::IAdd, i, b.constInt(1)));
+    }
+    Function &mid = mod->addFunction("mid", Type::I32);
+    {
+        ValueId i = mid.addParam(Type::I32, "i");
+        IRBuilder b(mid);
+        b.startBlock();
+        ValueId v = b.callStatic(leaf.id(), {i}, Type::I32);
+        b.ret(b.binop(Opcode::IMul, v, b.constInt(2)));
+    }
+    Function &fn = mod->addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    b.startBlock();
+    ValueId i = fn.addLocal(Type::I32);
+    ValueId acc = fn.addLocal(Type::I32);
+    b.move(i, b.constInt(0));
+    b.move(acc, b.constInt(0));
+    BasicBlock &head = fn.newBlock();
+    BasicBlock &body = fn.newBlock();
+    BasicBlock &exit = fn.newBlock();
+    b.jump(head);
+    b.atEnd(head);
+    b.branch(b.cmp(Opcode::ICmp, CmpPred::LT, i, b.constInt(3000)), body,
+             exit);
+    b.atEnd(body);
+    b.move(acc, b.binop(Opcode::IAdd, acc,
+                        b.callStatic(mid.id(), {i}, Type::I32)));
+    b.move(i, b.binop(Opcode::IAdd, i, b.constInt(1)));
+    b.jump(head);
+    b.atEnd(exit);
+    b.ret(acc);
+    return mod;
+}
+
+// main and leaf are published, mid stays cold: every iteration goes
+// tiered main -> slow call -> interpreted mid -> tiered leaf.  The leaf
+// bridge enters at mid's end of the frame stack; main's next call must
+// still stage at main's own end, or the stack top creeps up by mid's
+// slot file per iteration until the pool overflows.
+TEST(TieredFrameStack, ColdCalleeBridgesKeepTheCallersStackTop)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildBridgeLoopModule();
+    const Observed ref = referenceRun(*mod, target);
+    ASSERT_EQ(ExecResult::Outcome::Returned, ref.outcome);
+
+    TieredOptions manual;
+    manual.threshold = 1u << 30;
+    manual.synchronous = true;
+    TieredEngine engine(*mod, target, {}, nullptr, {}, manual);
+    engine.promoteNow(mod->findFunction("main"));
+    engine.promoteNow(mod->findFunction("leaf"));
+    const CodeRegistry &registry = *engine.registry();
+    ASSERT_EQ(TierState::Published,
+              registry.state(mod->findFunction("main")));
+    ASSERT_EQ(TierState::Published,
+              registry.state(mod->findFunction("leaf")));
+
+    for (int round = 0; round < 2; ++round) {
+        Observed got;
+        try {
+            got = tieredRun(engine, *mod);
+        } catch (const HardFault &fault) {
+            FAIL() << "round " << round << ": " << fault.what();
+        }
+        EXPECT_EQ(ref, got) << "round " << round;
+    }
+    EXPECT_EQ(TierState::Cold, registry.state(mod->findFunction("mid")));
 }
 
 // ---------------------------------------------------------------------------
