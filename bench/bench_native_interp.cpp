@@ -5,7 +5,7 @@
  * tier, on jBYTEmark kernels (BM_Native_* — CI uploads the results as
  * BENCH_native.json next to BENCH_interp.json).
  *
- * Five families:
+ * Six families:
  *
  *  - BM_Native_{Reference,Fast,Jit}_<kernel>: the same unoptimized
  *    module (every check explicit, the interpreter benches' shape)
@@ -31,6 +31,10 @@
  *    module, interpreted: the per-call entry cost of interpreted
  *    frames (CI uploads these with BENCH_tiering.json).
  *
+ *  - BM_Native_TrapStorm_{Native,Optimized,Tiered}: a loop whose every
+ *    iteration takes a guard-region trap into a catch handler, on each
+ *    native engine: the host-time cost of the trap path itself.
+ *
  *  - BM_Heap_Recycle_{Dense,Sparse}: Heap::reset() alone, on a span
  *    written everywhere and on one written in five pages (CI uploads
  *    these as BENCH_heap.json).
@@ -47,8 +51,10 @@
 #include "codegen/native/tiered_engine.h"
 #include "interp/fast_interpreter.h"
 #include "interp/interpreter.h"
+#include "ir/builder.h"
 #include "jit/compiler.h"
 #include "testing/workload_gen/workload_gen.h"
+#include "workloads/kernel_util.h"
 #include "workloads/workload.h"
 
 namespace trapjit
@@ -211,8 +217,8 @@ TRAPJIT_NATIVE_BENCH(idea, "IDEA encryption");
 //
 //  - BM_Tiered_Fast:       fused-interpreter baseline
 //  - BM_Tiered_Native:     classic native tier — every call bounces
-//                          through C++ dispatch (a fresh context and
-//                          activation, a mask-free sigsetjmp) per frame
+//                          through C++ dispatch (a fresh context) per
+//                          frame
 //  - BM_Tiered_Cold:       cold start — a fresh engine per iteration
 //                          pays interpretation, promotion compiles and
 //                          publishing inside the measured region
@@ -252,7 +258,8 @@ buildProfileModule(const WorkloadProfile &profile,
  * (identical across engines, proportional to the workload's allocation
  * volume rather than engine speed) happens off the timed path, as a
  * server would recycle between batches.  Items are instructions; the
- * calls_per_run counter says how many calls one run makes.
+ * calls_per_run and traps_per_run counters say how many calls and
+ * trap NPEs one run makes.
  */
 template <typename Engine>
 void
@@ -262,6 +269,7 @@ timeServingRuns(benchmark::State &state, Engine &engine, FunctionId entry)
     // ExecStats accumulate until reset(); report per-run deltas.
     uint64_t instructionsPerRun = 0, instructionsSeen = 0;
     uint64_t callsPerRun = 0, callsSeen = 0;
+    uint64_t trapsPerRun = 0, trapsSeen = 0;
     int sinceReset = 0;
     for (auto _ : state) {
         if (++sinceReset > kRunsPerReset) {
@@ -270,6 +278,7 @@ timeServingRuns(benchmark::State &state, Engine &engine, FunctionId entry)
             sinceReset = 1;
             instructionsSeen = 0;
             callsSeen = 0;
+            trapsSeen = 0;
             state.ResumeTiming();
         }
         ExecResult r = engine.run(entry, {});
@@ -278,10 +287,13 @@ timeServingRuns(benchmark::State &state, Engine &engine, FunctionId entry)
         instructionsSeen = r.stats.instructions;
         callsPerRun = r.stats.calls - callsSeen;
         callsSeen = r.stats.calls;
+        trapsPerRun = r.stats.trapsTaken - trapsSeen;
+        trapsSeen = r.stats.trapsTaken;
     }
     state.SetItemsProcessed(static_cast<int64_t>(instructionsPerRun) *
                             state.iterations());
     state.counters["calls_per_run"] = static_cast<double>(callsPerRun);
+    state.counters["traps_per_run"] = static_cast<double>(trapsPerRun);
 }
 
 void
@@ -469,6 +481,143 @@ BM_Interp_CallStorm_TieredCold(benchmark::State &state)
 
 BENCHMARK(BM_Interp_CallStorm_Fast);
 BENCHMARK(BM_Interp_CallStorm_TieredCold);
+
+// ---------------------------------------------------------------------------
+// Trap storm (BM_Native_TrapStorm_* — CI uploads BENCH_native.json)
+// ---------------------------------------------------------------------------
+//
+//     int storm(Node o, int n) {
+//         int acc = 0;
+//         for (int i = 0; i < n; i++)
+//             try { acc += o.ival; } catch (NullPointerException e) { acc++; }
+//         return acc;
+//     }
+//     int main() { return storm(null, 256); }
+//
+// The null check compiles implicit, so every iteration is one guard-
+// region fault and its NPE: a run's time is the trap path.  Built with
+// the IR builder rather than workload_gen, whose traps each end a try
+// body or a kernel, so no generated loop can trap on every iteration.
+//
+//  - BM_Native_TrapStorm_Native:    baseline code; each trap resumes
+//                                   at the catch handler in place
+//  - BM_Native_TrapStorm_Optimized: the first trap deopts the frame,
+//                                   and the rest of the loop runs on
+//                                   the fast interpreter (one hardware
+//                                   trap per run)
+//  - BM_Native_TrapStorm_Tiered:    both functions promoted up front
+
+constexpr int64_t kTrapStormIterations = 256;
+
+std::unique_ptr<Module>
+buildTrapStormModule()
+{
+    auto mod = std::make_unique<Module>();
+    ClassId node = mod->addClass("Node");
+    const int64_t ival = mod->addField(node, "ival", Type::I32);
+
+    Function &storm = mod->addFunction("storm", Type::I32);
+    storm.setNeverInline(true);
+    {
+        ValueId o = storm.addParam(Type::Ref, "o", node);
+        ValueId n = storm.addParam(Type::I32, "n");
+        IRBuilder b(storm);
+        b.startBlock();
+        ValueId acc = storm.addLocal(Type::I32, "acc");
+        ValueId i = storm.addLocal(Type::I32, "i");
+        b.move(acc, b.constInt(0));
+        CountedLoop loop(b, i, b.constInt(0), n);
+        BasicBlock &handler = storm.newBlock();
+        TryRegionId region =
+            storm.addTryRegion(handler.id(), ExcKind::NullPointer);
+        BasicBlock &body = storm.newBlock(region);
+        BasicBlock &join = storm.newBlock();
+        b.jump(body);
+        b.atEnd(body);
+        b.move(acc, b.binop(Opcode::IAdd, acc,
+                            b.getField(o, ival, Type::I32)));
+        b.jump(join);
+        b.atEnd(handler);
+        b.move(acc, b.binop(Opcode::IAdd, acc, b.constInt(1)));
+        b.jump(join);
+        b.atEnd(join);
+        loop.close();
+        b.ret(acc);
+    }
+
+    Function &fn = mod->addFunction("main", Type::I32);
+    IRBuilder b(fn);
+    b.startBlock();
+    b.ret(b.callStatic(storm.id(),
+                       {b.constNull(node), b.constInt(kTrapStormIterations)},
+                       Type::I32));
+    return mod;
+}
+
+enum class StormEngine
+{
+    Native,
+    Optimized,
+    Tiered,
+};
+
+void
+runTrapStormBenchmark(benchmark::State &state, StormEngine which)
+{
+    if (!nativeTierSupported()) {
+        state.SkipWithError("native tier requires x86-64 Linux");
+        return;
+    }
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildTrapStormModule();
+    Compiler compiler(target, makeNewFullConfig());
+    compiler.compile(*mod);
+    FunctionId entry = mod->findFunction("main");
+    InterpOptions options;
+    options.recordTrace = false;
+
+    if (which == StormEngine::Tiered) {
+        TieredOptions topts;
+        topts.threshold = 1u << 30;
+        topts.synchronous = true;
+        TieredEngine engine(*mod, target, options, nullptr, {}, topts);
+        for (FunctionId f = 0; f < mod->numFunctions(); ++f)
+            engine.promoteNow(f);
+        timeServingRuns(state, engine, entry);
+        return;
+    }
+    NativeEngineOptions eopts;
+    eopts.backend = which == StormEngine::Native ? NativeBackend::Baseline
+                                                 : NativeBackend::Optimized;
+    NativeEngine engine(*mod, target, options, nullptr, {}, nullptr, eopts);
+    if (engine.nativeCode(mod->findFunction("storm")) == nullptr) {
+        state.SkipWithError("storm did not compile natively");
+        return;
+    }
+    timeServingRuns(state, engine, entry);
+}
+
+void
+BM_Native_TrapStorm_Native(benchmark::State &state)
+{
+    runTrapStormBenchmark(state, StormEngine::Native);
+}
+
+void
+BM_Native_TrapStorm_Optimized(benchmark::State &state)
+{
+    runTrapStormBenchmark(state, StormEngine::Optimized);
+}
+
+void
+BM_Native_TrapStorm_Tiered(benchmark::State &state)
+{
+    runTrapStormBenchmark(state, StormEngine::Tiered);
+}
+
+BENCHMARK(BM_Native_TrapStorm_Native);
+BENCHMARK(BM_Native_TrapStorm_Optimized);
+BENCHMARK(BM_Native_TrapStorm_Tiered);
 
 // ---------------------------------------------------------------------------
 // Heap recycle (BM_Heap_Recycle_* — CI uploads BENCH_heap.json)

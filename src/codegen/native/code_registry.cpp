@@ -1,6 +1,5 @@
 #include "codegen/native/code_registry.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "codegen/native/code_buffer_pool.h"
@@ -86,19 +85,7 @@ CodeRegistry::publish(FunctionId fn,
 
     // 1. Make the block's faults resolvable before anything can enter
     //    it: swap in a fresh pc-map snapshot containing its range.
-    auto map = std::make_unique<TieredPcMap>();
-    const TieredPcMap *old = pcMap_.load(std::memory_order_relaxed);
-    if (old != nullptr)
-        map->blocks = old->blocks;
-    uintptr_t lo = reinterpret_cast<uintptr_t>(nc->buffer.base());
-    map->blocks.push_back(
-        TieredBlockRange{lo, lo + nc->codeSize, nc, df.get()});
-    std::sort(map->blocks.begin(), map->blocks.end(),
-              [](const TieredBlockRange &a, const TieredBlockRange &b) {
-                  return a.lo < b.lo;
-              });
-    pcMap_.store(map.get(), std::memory_order_release);
-    pcMapHistory_.push_back(std::move(map));
+    pcMap_.add(*nc);
 
     // 2. Register the block's outbound static slots and link the ones
     //    whose callee is already published.

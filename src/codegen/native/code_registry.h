@@ -125,11 +125,11 @@ class CodeRegistry
         return publishedBytes_.load(std::memory_order_relaxed);
     }
 
-    /** The atomic pc-map slot TieredRun descriptors point at. */
-    const std::atomic<const TieredPcMap *> *
-    pcMapSlot() const
+    /** The pc map of every block ever published, for run scopes. */
+    const std::atomic<const NativePcMap *> &
+    pcMap() const
     {
-        return &pcMap_;
+        return pcMap_.current();
     }
 
     size_t numFunctions() const { return published_.size(); }
@@ -171,9 +171,7 @@ class CodeRegistry
         keepalive_;
     /** Every static call slot targeting a given callee, ever. */
     std::unordered_map<FunctionId, std::vector<SlotRef>> linkSites_;
-    /** All pc-map snapshots ever swapped in (handler-safety). */
-    std::vector<std::unique_ptr<TieredPcMap>> pcMapHistory_;
-    std::atomic<const TieredPcMap *> pcMap_{nullptr};
+    NativePcMapSlot pcMap_;
 
     std::atomic<uint64_t> slotsPatched_{0};
     std::atomic<uint64_t> blocksLinked_{0};

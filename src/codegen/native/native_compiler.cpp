@@ -527,9 +527,8 @@ compileNative(const Function &fn, const DecodedFunction &df,
     const int lDepthBail = tiered ? e.newLabel() : -1;
     const int lPoolBail = tiered ? e.newLabel() : -1;
     if (tiered) {
-        // Tiered entry: no resume parameter (the SIGSEGV handler
-        // resumes frames in place by rewriting RIP) and a fully
-        // self-contained frame setup.  activeDf is published before
+        // Tiered entry: a fully self-contained frame setup (classic
+        // frames are set up in C++).  activeDf is published before
         // the depth check so the depth-fault message can name this
         // callee; the slot file is claimed from the engine's frame
         // pool with an overflow check; non-parameter slots are zeroed
@@ -556,16 +555,6 @@ compileNative(const Function &fn, const DecodedFunction &df,
             e.movRegImm32(R::RAX, 0);
             e.repStosq();
         }
-    } else {
-        // A non-null resume address (trap re-entry) takes over as soon
-        // as the pinned registers are live; the wrapper writes the
-        // recovered budget back into the context before resuming, so
-        // the r14 reload above covers both entry paths.
-        e.testRegReg(R::RCX, R::RCX, true);
-        int lStart = e.newLabel();
-        e.jccLabel(CC::E, lStart);
-        e.jmpReg(R::RCX);
-        e.bind(lStart);
     }
 
     // One integer ALU record; the canonical result is left in rax and
@@ -1421,9 +1410,9 @@ compileNative(const Function &fn, const DecodedFunction &df,
     nc->explicitChecksCompiled = explicitCount;
     nc->implicitChecksCompiled = implicitCount;
     nc->checksEliminated = eliminatedCount;
+    nc->exitOffset = e.labelOffset(lPop);
     if (tiered) {
         nc->tiered = true;
-        nc->unwindOffset = e.labelOffset(lUnwind);
         for (size_t k = 0; k < callSlots.size(); ++k)
             callSlots[k].stubOffset = e.labelOffset(callStubs[k].label);
         nc->callSlots = std::move(callSlots);

@@ -12,7 +12,7 @@
  *  - Slot-resident baseline: every IR value lives at [rbx + id*8] in
  *    the frame's slot array; no value is cached in a register across
  *    record boundaries.  That makes *every* record boundary a safe
- *    re-entry point, which is what lets the trap wrapper resume
+ *    re-entry point, which is what lets the SIGSEGV handler resume
  *    execution at the next record after a null-access trap without any
  *    state reconstruction.
  *  - Register convention: rbx = Slot*, r12 = NativeContext*, r13 =
@@ -68,9 +68,9 @@ struct NativeTrapSite
     uint32_t resumeNext = 0;  ///< code offset of the next record
     /**
      * Index into NativeCode::deopts, or -1 in the baseline backend.
-     * Optimized-backend traps never resume in native code; the engine
-     * deopts the frame into the fast interpreter at the record named
-     * by the deopt info instead.
+     * Optimized-backend traps never resume in native code; the SIGSEGV
+     * handler ends the frame with a deopt to the fast interpreter at
+     * the record named by the deopt info instead.
      */
     int32_t deoptIndex = -1;
 };
@@ -123,24 +123,15 @@ struct NativeCallSlot
 struct NativeCode
 {
     /**
-     * Entry protocol: (ctx, slots, heapHostBase, resume).  A null
-     * resume starts at the first record; a non-null one (produced by
-     * the trap wrapper) jumps straight to that in-buffer address.
-     * Returns 0 when the frame returned (value in ctx->retBits), 1
-     * when it unwound (pending exception in ctx, or ctx->hardFault).
+     * Entry protocol of every lowering: (ctx, frameBase, heapHostBase).
+     * Returns 0 when the frame returned (value in ctx->retBits), 1 when
+     * it unwound (pending exception in ctx, or ctx->hardFault set);
+     * optimized code also returns the deopt statuses 2 and 3 (see
+     * NativeEngine::invokeFrame).  A trap never re-enters through the
+     * entry: the SIGSEGV handler resumes the frame in place, or leaves
+     * it through exitOffset (native_runtime.h).
      */
-    using EntryFn = uint32_t (*)(NativeContext *, void *, uint8_t *,
-                                 const void *);
-
-    /**
-     * Tiered entry protocol: (ctx, frameBase, heapHostBase).  No
-     * resume parameter and no sigsetjmp wrapper — the SIGSEGV handler
-     * resumes tiered frames in place by rewriting RIP.  Returns 0 when
-     * the frame returned (value in ctx->retBits), 1 when it unwound
-     * (pending exception in ctx, or ctx->hardFault set).
-     */
-    using TieredEntryFn = uint32_t (*)(NativeContext *, void *,
-                                       uint8_t *);
+    using EntryFn = uint32_t (*)(NativeContext *, void *, uint8_t *);
 
     CodeBuffer buffer;
     size_t codeSize = 0; ///< instruction bytes (table excluded)
@@ -160,10 +151,15 @@ struct NativeCode
     size_t spillsEmitted = 0;   ///< ranked values left slot-resident
     size_t regsAllocated = 0;   ///< values given register homes
 
+    /**
+     * Code offset of the frame's exit, where the status is in eax: the
+     * SIGSEGV handler sets eax and rewrites RIP here when a trap ends
+     * the frame.
+     */
+    uint32_t exitOffset = 0;
+
     // ---- tiered-mode extras (empty/zero in classic mode) ------------
     bool tiered = false;
-    /** Code offset of the shared hard-unwind exit (RIP rewrite). */
-    uint32_t unwindOffset = 0;
     /** Static-call sites the registry may link/unlink. */
     std::vector<NativeCallSlot> callSlots;
 
@@ -197,12 +193,6 @@ struct NativeCode
         return reinterpret_cast<EntryFn>(buffer.base());
     }
 
-    TieredEntryFn
-    tieredEntry() const
-    {
-        return reinterpret_cast<TieredEntryFn>(buffer.base());
-    }
-
     /** Site whose [accessBegin, accessEnd) contains @p off, or null. */
     const NativeTrapSite *findSite(uint32_t off) const;
 };
@@ -213,12 +203,13 @@ struct NativeCompileOptions
     /** Emit event-trace recording after heap stores. */
     bool recordTrace = true;
     /**
-     * Tiered lowering: the no-sigsetjmp entry ABI, pool-staged call
-     * arguments, patchable rel32 call slots and the in-block unwind
-     * exit (see DESIGN.md section 14).  Tiered blocks bake the
-     * DecodedFunction address into the code, so they must never go
-     * into the content-addressed NativeCodeCache — the code registry
-     * owns them together with a keepalive of the decoded function.
+     * Tiered lowering: a self-contained frame setup (depth check,
+     * frame claimed from the pool top), pool-staged call arguments and
+     * patchable rel32 call slots (see DESIGN.md section 14).  Tiered
+     * blocks bake the DecodedFunction address into the code, so they
+     * must never go into the content-addressed NativeCodeCache — the
+     * code registry owns them together with a keepalive of the decoded
+     * function.
      */
     bool tiered = false;
     /**

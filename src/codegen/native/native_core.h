@@ -7,8 +7,8 @@
  *
  * NativeEngine (classic per-frame entry, codegen/native/native_engine.h)
  * and TieredEngine (linked blocks, codegen/native/tiered_engine.h)
- * differ in how a frame is entered and how a trap gets back into it.
- * Everything else is here, once:
+ * differ in how a frame is entered and how it calls.  Everything else
+ * is here, once:
  *
  *  - the fallback FastInterpreter, and through it the one heap, event
  *    trace, statistics block and frame stack (FramePool) mixed native /
@@ -86,8 +86,8 @@ class NativeCore
     /** Park @p msg and flag it in @p ctx; returns status 2. */
     uint32_t fail(NativeContext &ctx, std::string msg);
 
-    /** Park the HardFault resolveNullTrap left in @p ctx, if any (only
-     *  a frame that unwound can have one). */
+    /** Park the HardFault the SIGSEGV handler left in @p ctx, if any
+     *  (only a frame that unwound can have one). */
     void consumePark(NativeContext &ctx);
 
     /**

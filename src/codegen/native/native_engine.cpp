@@ -95,6 +95,9 @@ NativeEngine::ensureCompiled(FunctionId id)
             }
             compiled_[id] = nativeCache_->insert(key, std::move(result));
         }
+        // Mapped before it can run: its traps resolve from here on.
+        if (compiled_[id]->code)
+            pcMap_.add(*compiled_[id]->code);
     }
     return *compiled_[id];
 }
@@ -115,6 +118,7 @@ ExecResult
 NativeEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
 {
     Slot *argv = beginRun(func, args);
+    NativeRunScope scope(pcMap_.current(), fi_.stats_, fi_.heap_);
     return finishRun(func, callFrame(func, argv, 0));
 }
 
@@ -160,72 +164,9 @@ NativeEngine::invokeFrame(const DecodedFunction &df, const NativeCode &nc,
     ctx.engine = this;
     ctx.depth = static_cast<uint32_t>(depth);
 
-    NativeActivation act;
-    act.codeLo = reinterpret_cast<uintptr_t>(nc.buffer.base());
-    act.codeHi = act.codeLo + nc.codeSize;
-    act.guardLo = fi_.heap_.guardLo();
-    act.guardHi = fi_.heap_.guardHi();
-
-    const void *resume = nullptr;
-    uint32_t status;
-    for (;;) {
-        nativePushActivation(&act);
-        if (sigsetjmp(act.jmp, 0) == 0) {
-            status = nc.entry()(&ctx, regs, fi_.heap_.hostBase(), resume);
-            nativePopActivation(&act);
-            break;
-        }
-        nativePopActivation(&act);
-        pthread_sigmask(SIG_SETMASK, &act.faultMask, nullptr);
-
-        // A hardware trap.  The budget count was register-resident (r14)
-        // at the fault; write it back so the stats sync below sees it
-        // and so the prologue's reload hands it to resumed code.
-        ctx.budgetRemaining = act.faultBudget;
-        const uint32_t pcOffset =
-            static_cast<uint32_t>(act.faultPc - act.codeLo);
-        const bool inGuard = act.faultAddr >= act.guardLo &&
-                             act.faultAddr < act.guardHi;
-        if (nc.optimized) {
-            // Optimized code never resumes after a trap.  The
-            // write-through register allocator keeps the slot file
-            // canonical at every record boundary, so the trap becomes
-            // a deopt: the budget pre-charged for the rest of the run
-            // is refunded and the frame replays on the fast
-            // interpreter from the deopt record.
-            const NativeTrapSite *site = nc.findSite(pcOffset);
-            const DecodedInst *rec =
-                site != nullptr ? &df.code[site->recordIndex] : nullptr;
-            if (rec == nullptr || site->deoptIndex < 0 ||
-                regs[rec->a].ref != 0) {
-                // No null access to replay: a field access outside
-                // its object, or a wild fault.
-                NullVerdict v = nativeFaultVerdict(rec, regs, inGuard);
-                if (v != NullVerdict::OutsideObject)
-                    v = NullVerdict::Wild;
-                parkHardFault(nullAccessMessage(
-                    v, df, rec != nullptr ? *rec : df.code.front(),
-                    target_));
-                status = 1;
-            } else {
-                const NativeDeoptInfo &info =
-                    nc.deopts[static_cast<size_t>(site->deoptIndex)];
-                ctx.budgetRemaining += info.budgetAdjust;
-                ctx.deoptRecord = info.deoptRecord;
-                status = 2;
-            }
-            break;
-        }
-        uint32_t resumeAt = 0;
-        if (!resolveNullTrap(nc, df, regs, pcOffset, inGuard, ctx,
-                             fi_.stats_, resumeAt)) {
-            consumePark(ctx);
-            status = 1;
-            break;
-        }
-        resume = nc.buffer.base() + resumeAt;
-    }
+    const uint32_t status = nc.entry()(&ctx, regs, fi_.heap_.hostBase());
     syncStats(ctx);
+    consumePark(ctx);
 
     if (status == 2 || status == 3) {
         ++deoptsTaken_;
@@ -235,10 +176,11 @@ NativeEngine::invokeFrame(const DecodedFunction &df, const NativeCode &nc,
                              static_cast<SiteId>(ctx.pendingSite)};
         }
         // The slot file is canonical (write-through homes) and the
-        // deopt stub refunded every un-retired record, so the
-        // interpreter replay is exact: budget faults, traps and
-        // null-access decisions land on the same records with the same
-        // messages as a pure interpreter run.  It resumes on the
+        // deopt stub (or, for a trap, the SIGSEGV handler) refunded
+        // every un-retired record, so the interpreter replay is exact:
+        // budget faults, traps and null-access decisions land on the
+        // same records with the same messages as a pure interpreter
+        // run.  It resumes on the
         // frame's own slots; its calls stage past them.
         try {
             return fi_.resumeFrame(df, regs, depth, ctx.deoptRecord, pend);

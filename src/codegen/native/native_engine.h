@@ -22,8 +22,9 @@
  *
  * The fallback interpreter, the frame pool, HardFault parking and the
  * JIT helpers live in NativeCore (codegen/native/native_core.h), shared
- * with the tiered engine; this class adds the per-frame entry with its
- * sigsetjmp trap recovery, the call helper and the NativeCodeCache.
+ * with the tiered engine; this class adds the per-frame entry, the call
+ * helper, the NativeCodeCache and the pc map of the code it compiled
+ * (the SIGSEGV handler resolves traps against it, native_runtime.h).
  */
 
 #include <functional>
@@ -130,18 +131,16 @@ class NativeEngine : public NativeCore
     bool claimFrame(const DecodedFunction &df, Slot *regs, size_t depth);
 
     /**
-     * Run one compiled frame under sigsetjmp trap recovery, in a
-     * context of its own.  The trap arm is the one thing the two
-     * lowerings do differently.  Baseline code resumes: resolveNullTrap
-     * decides the trap, and the frame re-enters at the next record or
-     * the catch handler.  Optimized code never resumes after a trap:
-     * the trap becomes a deopt, and the frame continues on the fast
-     * interpreter (FastInterpreter::resumeFrame) in place, on its own
-     * canonical slot file.  Optimized entry statuses: 0 = returned,
-     * 1 = unwound (pending exception or parked HardFault), 2 = deopt,
-     * replay ctx->deoptRecord, 3 = deopt, dispatch the pending
-     * exception from ctx->deoptRecord's try region (the record was
-     * already retired by its helper).
+     * Run one compiled frame in a context of its own.  A trap is
+     * resolved inside the SIGSEGV handler: baseline code resumes in
+     * place, optimized code never does — the trap becomes a deopt, and
+     * the frame continues on the fast interpreter
+     * (FastInterpreter::resumeFrame) in place, on its own canonical
+     * slot file.  Optimized entry statuses: 0 = returned, 1 = unwound
+     * (pending exception or parked HardFault), 2 = deopt, replay
+     * ctx->deoptRecord, 3 = deopt, dispatch the pending exception from
+     * ctx->deoptRecord's try region (the record was already retired by
+     * its helper).
      */
     FrameResult invokeFrame(const DecodedFunction &df, const NativeCode &nc,
                             Slot *regs, size_t depth);
@@ -154,6 +153,8 @@ class NativeEngine : public NativeCore
     NativeEngineOptions engineOptions_;
     std::shared_ptr<NativeCodeCache> nativeCache_;
     std::vector<std::shared_ptr<const NativeCodeCache::Entry>> compiled_;
+    /** Ranges of every function in compiled_ that has code. */
+    NativePcMapSlot pcMap_;
 
     // ---- optimized-backend counters ---------------------------------
     // Compile-side totals accumulate on native-cache misses (mirroring

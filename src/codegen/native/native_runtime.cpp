@@ -19,8 +19,14 @@ namespace trapjit
 namespace
 {
 
-thread_local NativeActivation *t_activation = nullptr;
-thread_local TieredRun *t_tieredRun = nullptr;
+thread_local NativeRunScope *t_runScope = nullptr;
+
+/** upper_bound comparator of a pc against a range's start. */
+bool
+pcBeforeRange(uintptr_t pc, const NativeCodeRange &r)
+{
+    return pc < r.lo;
+}
 
 std::mutex g_installMutex;
 int g_installCount = 0;
@@ -44,31 +50,148 @@ chainToPrevious(int signo, siginfo_t *info, void *context)
     raise(signo);
 }
 
+/**
+ * The verdict on a native fault at trap record @p rec (null when the
+ * fault PC is at no trap site) of a frame on slot file @p slots, with
+ * @p inGuard telling whether the fault address lies in the heap guard
+ * region: classifyNullAccess when the record's reference is null;
+ * OutsideObject for a GetField / PutField through a non-null reference
+ * that reached the guard region (the interpreters fault the same access
+ * on their bounds check); Wild otherwise.
+ */
+NullVerdict
+nativeFaultVerdict(const DecodedInst *rec, const void *slots, bool inGuard)
+{
+    if (!inGuard || rec == nullptr)
+        return NullVerdict::Wild;
+    if (static_cast<const uint64_t *>(slots)[rec->a] == 0)
+        return classifyNullAccess(rec->flags);
+    if (rec->srcOp == Opcode::GetField || rec->srcOp == Opcode::PutField)
+        return NullVerdict::OutsideObject;
+    return NullVerdict::Wild;
+}
+
+/** Park faulting verdict @p v at @p site (null: none) of @p df in ctx. */
+void
+parkVerdict(NativeContext &ctx, NullVerdict v, const NativeTrapSite *site,
+            const DecodedFunction &df)
+{
+    ctx.parkVerdict = v;
+    ctx.parkRec = site != nullptr ? site->recordIndex : 0;
+    ctx.parkDf = &df;
+    ctx.hardFault = 1;
+}
+
+/**
+ * The trap arm of baseline and tiered code.  Returns true with
+ * @p resumeAt set to the code offset execution continues at (the next
+ * record, or the catch handler of a trap NPE); loads whose null access
+ * reads zero get that zero in their destination slot first.  Returns
+ * false when the frame must unwind: either an uncaught trap NPE is
+ * pending in @p ctx, or the access faults and its verdict is parked.
+ */
+bool
+resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
+                void *slots, uint32_t pcOffset, bool inGuard,
+                NativeContext &ctx, ExecStats &stats, uint32_t &resumeAt)
+{
+    uint64_t *r = static_cast<uint64_t *>(slots);
+    const NativeTrapSite *site = nc.findSite(pcOffset);
+    const DecodedInst *rec =
+        site != nullptr ? &df.code[site->recordIndex] : nullptr;
+    const NullVerdict verdict = nativeFaultVerdict(rec, slots, inGuard);
+    if (nullVerdictFaults(verdict)) {
+        parkVerdict(ctx, verdict, site, df);
+        return false;
+    }
+    // Loads (and ArrayLength) substitute the zero the interpreter
+    // writes through handleNullAccess's return value — including on
+    // the trap-NPE path, where the write precedes dispatch.
+    if (rec->dst != kNoValue &&
+        (rec->srcOp == Opcode::GetField ||
+         rec->srcOp == Opcode::ArrayLength ||
+         rec->srcOp == Opcode::ArrayLoad))
+        r[rec->dst] = 0;
+    resumeAt = site->resumeNext;
+    if (verdict == NullVerdict::SpecSafeZero) {
+        ++stats.speculativeReadsOfNull;
+    } else if (verdict == NullVerdict::TrapNpe) {
+        ++stats.trapsTaken;
+        int32_t handler = nativeFindHandlerIndex(df, rec->tryRegion,
+                                                 ExcKind::NullPointer);
+        if (handler < 0) {
+            ctx.pendingKind = static_cast<int32_t>(ExcKind::NullPointer);
+            ctx.pendingSite = rec->site;
+            return false;
+        }
+        resumeAt = nc.recordOffsets[handler];
+    }
+    return true;
+}
+
+/**
+ * The trap arm of optimized code, which never resumes: the
+ * write-through register allocator keeps the slot file canonical at
+ * every record boundary, so a null access at a site with a deopt
+ * record becomes a deopt (status 2) — @p budget (the trapped r14)
+ * gets back what the run pre-charged past the replay record, and
+ * ctx->deoptRecord names it.  Any other fault (a field access outside
+ * its object, or a wild one) parks its verdict: status 1.
+ */
+uint32_t
+deoptNullTrap(const NativeCode &nc, const DecodedFunction &df,
+              void *slots, uint32_t pcOffset, bool inGuard,
+              NativeContext &ctx, int64_t &budget)
+{
+    const NativeTrapSite *site = nc.findSite(pcOffset);
+    const DecodedInst *rec =
+        site != nullptr ? &df.code[site->recordIndex] : nullptr;
+    if (rec != nullptr && site->deoptIndex >= 0 &&
+        static_cast<const uint64_t *>(slots)[rec->a] == 0) {
+        const NativeDeoptInfo &info =
+            nc.deopts[static_cast<size_t>(site->deoptIndex)];
+        budget += info.budgetAdjust;
+        ctx.deoptRecord = info.deoptRecord;
+        return 2;
+    }
+    NullVerdict v = nativeFaultVerdict(rec, slots, inGuard);
+    parkVerdict(ctx,
+                v == NullVerdict::OutsideObject ? v : NullVerdict::Wild,
+                site, df);
+    return 1;
+}
+
 #if defined(__x86_64__) && defined(__linux__)
 /**
- * Resolve a fault whose PC lies inside a published tiered block: the
- * in-signal-handler counterpart of the classic frame wrapper.  The
- * outcome is a rewritten REG_RIP (resume point, catch handler, or the
- * block's unwind exit) — no siglongjmp, no per-frame setup.  The
- * engine builds any HardFault message later from what resolveNullTrap
- * parked in the context.
+ * Resolve a fault at @p pc inside @p code, whose frame is described by
+ * the pinned registers in @p gregs, by rewriting REG_RIP: to the resume
+ * point, or to the code's exit with the frame's status in REG_RAX.
  */
 void
-resolveTieredFault(const TieredRun &run, const TieredBlockRange &blk,
-                   ucontext_t *uc, siginfo_t *info)
+resolveFault(const NativeRunScope &run, const NativeCodeRange &code,
+             uintptr_t pc, uintptr_t fault, greg_t *gregs)
 {
-    greg_t *gregs = uc->uc_mcontext.gregs;
-    uintptr_t fault = reinterpret_cast<uintptr_t>(info->si_addr);
-    uint32_t resumeAt = 0;
-    bool resumes = resolveNullTrap(
-        *blk.nc, *blk.df, reinterpret_cast<void *>(gregs[REG_RBX]),
-        static_cast<uint32_t>(static_cast<uintptr_t>(gregs[REG_RIP]) -
-                              blk.lo),
-        fault >= run.guardLo && fault < run.guardHi,
-        *reinterpret_cast<NativeContext *>(gregs[REG_R12]), *run.stats,
-        resumeAt);
-    gregs[REG_RIP] = static_cast<greg_t>(
-        blk.lo + (resumes ? resumeAt : blk.nc->unwindOffset));
+    const NativeCode &nc = *code.nc;
+    NativeContext &ctx = *reinterpret_cast<NativeContext *>(gregs[REG_R12]);
+    void *slots = reinterpret_cast<void *>(gregs[REG_RBX]);
+    const uint32_t pcOffset = static_cast<uint32_t>(pc - code.lo);
+    const bool inGuard = fault >= run.guardLo && fault < run.guardHi;
+    uint32_t status = 1;
+    if (nc.optimized) {
+        int64_t budget = static_cast<int64_t>(gregs[REG_R14]);
+        status = deoptNullTrap(nc, *ctx.activeDf, slots, pcOffset, inGuard,
+                               ctx, budget);
+        gregs[REG_R14] = static_cast<greg_t>(budget);
+    } else {
+        uint32_t resumeAt = 0;
+        if (resolveNullTrap(nc, *ctx.activeDf, slots, pcOffset, inGuard,
+                            ctx, *run.stats, resumeAt)) {
+            gregs[REG_RIP] = static_cast<greg_t>(code.lo + resumeAt);
+            return;
+        }
+    }
+    gregs[REG_RAX] = static_cast<greg_t>(status);
+    gregs[REG_RIP] = static_cast<greg_t>(code.lo + nc.exitOffset);
 }
 #endif
 
@@ -76,39 +199,21 @@ void
 nativeSegvHandler(int signo, siginfo_t *info, void *context)
 {
 #if defined(__x86_64__) && defined(__linux__)
-    if (const TieredRun *run = t_tieredRun; run != nullptr) {
-        ucontext_t *uc = static_cast<ucontext_t *>(context);
-        uintptr_t pc =
-            static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
-        // Fresh acquire load per fault: a block published after this
-        // root call started must still be recognized.
-        const TieredPcMap *map =
+    if (const NativeRunScope *run = t_runScope; run != nullptr) {
+        greg_t *gregs =
+            static_cast<ucontext_t *>(context)->uc_mcontext.gregs;
+        const uintptr_t pc = static_cast<uintptr_t>(gregs[REG_RIP]);
+        // Fresh acquire load per fault: code compiled or published
+        // after this request started must still be recognized.
+        const NativePcMap *map =
             run->pcMap->load(std::memory_order_acquire);
-        const TieredBlockRange *blk =
+        const NativeCodeRange *code =
             map != nullptr ? map->find(pc) : nullptr;
-        if (blk != nullptr) {
-            resolveTieredFault(*run, *blk, uc, info);
+        if (code != nullptr) {
+            resolveFault(*run, *code, pc,
+                         reinterpret_cast<uintptr_t>(info->si_addr),
+                         gregs);
             return;
-        }
-    }
-    NativeActivation *act = t_activation;
-    if (act != nullptr) {
-        ucontext_t *uc = static_cast<ucontext_t *>(context);
-        uintptr_t pc =
-            static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
-        if (pc >= act->codeLo && pc < act->codeHi) {
-            uintptr_t fault = reinterpret_cast<uintptr_t>(info->si_addr);
-            act->faultPc = pc;
-            act->faultAddr = fault;
-            // The budget count lives in r14 while JIT code runs; the
-            // wrapper writes it back to the context before resuming.
-            act->faultBudget =
-                static_cast<int64_t>(uc->uc_mcontext.gregs[REG_R14]);
-            // What sigreturn would have reinstated; the recovery branch
-            // restores it, since siglongjmp keeps the handler's mask.
-            act->faultMask = uc->uc_sigmask;
-            bool inGuard = fault >= act->guardLo && fault < act->guardHi;
-            siglongjmp(act->jmp, inGuard ? 1 : 2);
         }
     }
 #endif
@@ -117,44 +222,48 @@ nativeSegvHandler(int signo, siginfo_t *info, void *context)
 
 } // namespace
 
-void
-nativePushActivation(NativeActivation *act)
+const NativeCodeRange *
+NativePcMap::find(uintptr_t pc) const
 {
-    act->prev = t_activation;
-    t_activation = act;
-}
-
-void
-nativePopActivation(NativeActivation *act)
-{
-    TRAPJIT_ASSERT(t_activation == act, "activation stack out of order");
-    t_activation = act->prev;
-}
-
-const TieredBlockRange *
-TieredPcMap::find(uintptr_t pc) const
-{
-    auto it = std::upper_bound(
-        blocks.begin(), blocks.end(), pc,
-        [](uintptr_t p, const TieredBlockRange &b) { return p < b.lo; });
-    if (it == blocks.begin())
+    auto it = std::upper_bound(ranges.begin(), ranges.end(), pc,
+                               pcBeforeRange);
+    if (it == ranges.begin())
         return nullptr;
     --it;
     return pc >= it->lo && pc < it->hi ? &*it : nullptr;
 }
 
 void
-tieredEnterRun(TieredRun *run)
+NativePcMapSlot::add(const NativeCode &nc)
 {
-    run->prev = t_tieredRun;
-    t_tieredRun = run;
+    const uintptr_t lo = reinterpret_cast<uintptr_t>(nc.buffer.base());
+    const NativePcMap *old = map_.load(std::memory_order_relaxed);
+    if (old != nullptr && old->find(lo) != nullptr)
+        return;
+    auto map = std::make_unique<NativePcMap>();
+    if (old != nullptr)
+        map->ranges = old->ranges;
+    map->ranges.insert(std::upper_bound(map->ranges.begin(),
+                                        map->ranges.end(), lo,
+                                        pcBeforeRange),
+                       NativeCodeRange{lo, lo + nc.codeSize, &nc});
+    map_.store(map.get(), std::memory_order_release);
+    history_.push_back(std::move(map));
 }
 
-void
-tieredExitRun(TieredRun *run)
+NativeRunScope::NativeRunScope(
+    const std::atomic<const NativePcMap *> &map, ExecStats &execStats,
+    const Heap &heap)
+    : pcMap(&map), stats(&execStats), guardLo(heap.guardLo()),
+      guardHi(heap.guardHi()), prev(t_runScope)
 {
-    TRAPJIT_ASSERT(t_tieredRun == run, "tiered run scope out of order");
-    t_tieredRun = run->prev;
+    t_runScope = this;
+}
+
+NativeRunScope::~NativeRunScope()
+{
+    TRAPJIT_ASSERT(t_runScope == this, "native run scope out of order");
+    t_runScope = prev;
 }
 
 void
@@ -192,60 +301,6 @@ nativeFindHandlerIndex(const DecodedFunction &df, TryRegionId region,
             return static_cast<int32_t>(r.handlerIndex);
     }
     return -1;
-}
-
-NullVerdict
-nativeFaultVerdict(const DecodedInst *rec, const void *slots, bool inGuard)
-{
-    if (!inGuard || rec == nullptr)
-        return NullVerdict::Wild;
-    if (static_cast<const uint64_t *>(slots)[rec->a] == 0)
-        return classifyNullAccess(rec->flags);
-    if (rec->srcOp == Opcode::GetField || rec->srcOp == Opcode::PutField)
-        return NullVerdict::OutsideObject;
-    return NullVerdict::Wild;
-}
-
-bool
-resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
-                void *slots, uint32_t pcOffset, bool inGuard,
-                NativeContext &ctx, ExecStats &stats, uint32_t &resumeAt)
-{
-    uint64_t *r = static_cast<uint64_t *>(slots);
-    const NativeTrapSite *site = nc.findSite(pcOffset);
-    const DecodedInst *rec =
-        site != nullptr ? &df.code[site->recordIndex] : nullptr;
-    const NullVerdict verdict = nativeFaultVerdict(rec, slots, inGuard);
-    if (nullVerdictFaults(verdict)) {
-        ctx.parkVerdict = verdict;
-        ctx.parkRec = site != nullptr ? site->recordIndex : 0;
-        ctx.parkDf = &df;
-        ctx.hardFault = 1;
-        return false;
-    }
-    // Loads (and ArrayLength) substitute the zero the interpreter
-    // writes through handleNullAccess's return value — including on
-    // the trap-NPE path, where the write precedes dispatch.
-    if (rec->dst != kNoValue &&
-        (rec->srcOp == Opcode::GetField ||
-         rec->srcOp == Opcode::ArrayLength ||
-         rec->srcOp == Opcode::ArrayLoad))
-        r[rec->dst] = 0;
-    resumeAt = site->resumeNext;
-    if (verdict == NullVerdict::SpecSafeZero) {
-        ++stats.speculativeReadsOfNull;
-    } else if (verdict == NullVerdict::TrapNpe) {
-        ++stats.trapsTaken;
-        int32_t handler = nativeFindHandlerIndex(df, rec->tryRegion,
-                                                 ExcKind::NullPointer);
-        if (handler < 0) {
-            ctx.pendingKind = static_cast<int32_t>(ExcKind::NullPointer);
-            ctx.pendingSite = rec->site;
-            return false;
-        }
-        resumeAt = nc.recordOffsets[handler];
-    }
-    return true;
 }
 
 extern "C" int32_t

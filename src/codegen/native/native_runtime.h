@@ -4,9 +4,9 @@
 /**
  * @file
  * Runtime support for the native x86-64 tier: the context block JIT
- * code addresses directly, the per-frame trap activation records, the
- * SIGSEGV handler that turns guard-page faults into exception
- * dispatch, and the out-of-line helpers compiled code calls for the
+ * code addresses directly, the per-request run scope and pc map, the
+ * SIGSEGV handler that turns guard-page faults into exception dispatch
+ * or deopts, and the out-of-line helpers compiled code calls for the
  * operations that stay in C++ (allocation, calls, trace recording,
  * libm).
  *
@@ -29,27 +29,33 @@
  *    HardFaults are parked in the engine (NativeCore) and rethrown at
  *    the top of run().
  *
- * Trap recovery: a guard-page fault at a trap site is decided by
- * resolveNullTrap (below) in both modes; only how control gets back
- * differs.  Each classic native frame enters its code under a
- * mask-free sigsetjmp(jmp, 0) with a NativeActivation on a thread-local
- * stack, so a call that takes no trap makes no syscall.  The SIGSEGV
- * handler checks whether the faulting PC lies in the innermost
- * activation's code range; if so it records PC, fault address and the
- * interrupted signal mask (uc_sigmask) and siglongjmps back (value 1
- * for a fault inside the heap guard region, 2 for any other address).
- * siglongjmp leaves the handler's mask in place, so the recovery
- * branch restores the recorded one with a single pthread_sigmask —
- * one syscall per trap instead of one per frame, and exact even when
- * a foreign handler that blocks SIGSEGV chains into ours.  The frame
- * wrapper then resolves the trap and re-enters the code at the resume
- * point.  Tiered frames resolve in the handler itself and rewrite RIP
- * (see below).  Faults that don't match a trap site — or whose
- * reference slot is not actually null — are reported as a HardFault
+ * Trap recovery: one protocol for every native frame, resolved inside
+ * the SIGSEGV handler.  An engine enters a NativeRunScope once per
+ * request; the scope names the pc map of every piece of code the
+ * engine may run (the engine's compiled functions, or the registry's
+ * published blocks), the statistics block and the heap guard region.
+ * A fault whose PC lies in a mapped range is decided from the pinned
+ * registers alone — r12 = NativeContext* (whose activeDf names the
+ * frame's function), rbx = the frame's slot file, r14 = the budget
+ * count — and the handler returns by rewriting RIP:
+ *
+ *  - baseline and tiered code: resolveNullTrap decides the trap, and
+ *    execution resumes at the next record or the catch handler, or
+ *    leaves the frame through its exit with status 1;
+ *  - optimized code never resumes: a null access at a site with a deopt
+ *    record refunds the pre-charged budget in r14, stores the record in
+ *    ctx->deoptRecord and leaves with status 2 (the engine replays the
+ *    frame on the fast interpreter); any other fault leaves with
+ *    status 1.
+ *
+ * Faults that don't match a trap site — or whose reference slot is not
+ * actually null — are parked in the context as a HardFault verdict
  * (NullVerdict::OutsideObject or Wild) instead of corrupting state.
- * The handler runs on a per-thread alternate stack
- * (runtime/signal_stack.h) and chains to the previously installed
- * handler for faults outside any activation or tiered block.
+ * Nothing is armed per frame, so a frame that takes no trap pays
+ * nothing for recovery; the handler returns normally, so sigreturn
+ * reinstates the signal mask the fault interrupted.  The handler runs on a
+ * per-thread alternate stack (runtime/signal_stack.h) and chains to the
+ * previously installed handler for faults outside JIT code.
  *
  * Slot files: every frame of an engine — interpreted, baseline,
  * optimized or tiered — sits on the one FramePool
@@ -66,14 +72,14 @@
  */
 
 #include <atomic>
-#include <csetjmp>
-#include <csignal>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "interp/decoded_program.h"
 #include "interp/interpreter.h"
 #include "ir/function.h"
+#include "runtime/heap.h"
 
 namespace trapjit
 {
@@ -112,7 +118,8 @@ struct NativeContext
     /** Calls retired by linked tiered code since the last sync. */
     uint64_t linkedCalls = 0;
     /**
-     * Record index the optimized backend's deopt stubs leave behind:
+     * Record index the optimized backend's deopt stubs (and the SIGSEGV
+     * handler, for a trap) leave behind:
      * where the fast interpreter should pick the frame up (entry
      * status 2 = re-execute that record, 3 = dispatch the pending
      * exception from its try region without re-executing).
@@ -125,9 +132,9 @@ struct NativeContext
     /** Call depth of a classic frame (tiered frames use depthRemaining). */
     uint32_t depth = 0;
     /**
-     * A faulting null access resolveNullTrap left behind (parkDf null
+     * A faulting access the SIGSEGV handler left behind (parkDf null
      * = none): the engine turns it into the HardFault message once the
-     * frame has unwound, since the SIGSEGV handler may not allocate.
+     * frame has unwound, since the handler may not allocate.
      */
     NullVerdict parkVerdict = NullVerdict::Wild;
     uint32_t parkRec = 0;
@@ -171,76 +178,64 @@ static_assert(offsetof(NativeContext, linkedCalls) ==
 static_assert(offsetof(NativeContext, deoptRecord) ==
               kNativeCtxDeoptRecordOffset);
 
-/** One native frame's trap-recovery record (thread-local stack). */
-struct NativeActivation
-{
-    sigjmp_buf jmp;
-    uintptr_t codeLo = 0, codeHi = 0;   ///< this frame's code range
-    uintptr_t guardLo = 0, guardHi = 0; ///< the heap guard region
-    uintptr_t faultPc = 0, faultAddr = 0;
-    /** r14 (the register-resident budget count) at the fault. */
-    int64_t faultBudget = 0;
-    /**
-     * The signal mask the fault interrupted (uc_sigmask).  The recovery
-     * branch of sigsetjmp(jmp, 0) reinstates it: siglongjmp out of the
-     * handler does not, and a chained foreign handler may have blocked
-     * SIGSEGV on the way in.
-     */
-    sigset_t faultMask;
-    NativeActivation *prev = nullptr;
-};
-
-/** Push/pop the calling thread's activation stack. */
-void nativePushActivation(NativeActivation *act);
-void nativePopActivation(NativeActivation *act);
-
-// ---- tiered-tier trap recovery --------------------------------------
-//
-// Tiered blocks do NOT run under a per-frame sigsetjmp: the handler
-// resolves the fault in place and rewrites RIP to the resume point (or
-// the block's unwind exit), so a hot tiered call chain pays zero
-// setup per frame.  The handler reaches everything it needs through
-// the faulting thread's TieredRun descriptor plus the pinned registers
-// (r12 = NativeContext*, rbx = current frame's Slot*).
-
-/** One published tiered block's code range (for fault-PC lookup). */
-struct TieredBlockRange
+/** One piece of native code's range (for fault-PC lookup). */
+struct NativeCodeRange
 {
     uintptr_t lo = 0;
     uintptr_t hi = 0;
     const NativeCode *nc = nullptr;
-    const DecodedFunction *df = nullptr;
 };
 
-/**
- * Immutable, sorted snapshot of every tiered block ever published.
- * The registry swaps in a fresh snapshot on publish; old snapshots are
- * kept alive forever so the handler's acquire load is always safe.
- */
-struct TieredPcMap
+/** Immutable, sorted snapshot of the code ranges one engine may run. */
+struct NativePcMap
 {
-    std::vector<TieredBlockRange> blocks; ///< sorted by lo, disjoint
+    std::vector<NativeCodeRange> ranges; ///< sorted by lo, disjoint
     /** Async-signal-safe binary search; null when pc is outside. */
-    const TieredBlockRange *find(uintptr_t pc) const;
+    const NativeCodeRange *find(uintptr_t pc) const;
 };
 
 /**
- * Thread-scoped fault-resolution descriptor, active while a tiered
- * root call runs.  pcMap is a pointer to the registry's atomic map
- * slot — the handler does a fresh acquire load per fault so blocks
- * published mid-run are visible immediately.
+ * The published pc map of one engine or registry.  add() swaps in a
+ * fresh snapshot with one more range; old snapshots stay alive as long
+ * as the slot, so a handler's acquire load is always safe.  Callers
+ * serialize add().
  */
-struct TieredRun
+class NativePcMapSlot
 {
-    const std::atomic<const TieredPcMap *> *pcMap = nullptr;
-    ExecStats *stats = nullptr; ///< trap and speculative-read counts
-    uintptr_t guardLo = 0, guardHi = 0;
-    TieredRun *prev = nullptr;
+  public:
+    /** Publish @p nc's range (no-op when it is already mapped). */
+    void add(const NativeCode &nc);
+
+    const std::atomic<const NativePcMap *> &
+    current() const
+    {
+        return map_;
+    }
+
+  private:
+    std::vector<std::unique_ptr<NativePcMap>> history_;
+    std::atomic<const NativePcMap *> map_{nullptr};
 };
 
-/** Enter/exit the calling thread's tiered-run scope (LIFO). */
-void tieredEnterRun(TieredRun *run);
-void tieredExitRun(TieredRun *run);
+/**
+ * The calling thread's fault-resolution scope, active for one engine
+ * request (LIFO per thread).  The handler does a fresh acquire load of
+ * @p pcMap per fault, so code compiled or published mid-request is
+ * recognized at once.
+ */
+struct NativeRunScope
+{
+    NativeRunScope(const std::atomic<const NativePcMap *> &pcMap,
+                   ExecStats &stats, const Heap &heap);
+    ~NativeRunScope();
+    NativeRunScope(const NativeRunScope &) = delete;
+    NativeRunScope &operator=(const NativeRunScope &) = delete;
+
+    const std::atomic<const NativePcMap *> *pcMap;
+    ExecStats *stats; ///< trap and speculative-read counts
+    uintptr_t guardLo, guardHi;
+    NativeRunScope *prev;
+};
 
 /**
  * Install / remove the process-wide SIGSEGV handler (refcounted; the
@@ -253,43 +248,10 @@ void nativeUninstallSegvHandler();
  * Walk @p df's try-region parent chain from @p region for an handler
  * catching @p kind; returns the handler's stream index or -1.  The
  * shared L_dispatch stub calls this (through trapjitNativeFindHandler)
- * and the trap wrapper calls it directly for trap NPEs.
+ * and the SIGSEGV handler calls it directly for trap NPEs.
  */
 int32_t nativeFindHandlerIndex(const DecodedFunction &df,
                                TryRegionId region, ExcKind kind);
-
-/**
- * The verdict on a native fault at trap record @p rec (null when the
- * fault PC is at no trap site) of a frame on slot file @p slots, with
- * @p inGuard telling whether the fault address lies in the heap guard
- * region: classifyNullAccess when the record's reference is null;
- * OutsideObject for a GetField / PutField through a non-null reference
- * that reached the guard region (the interpreters fault the same access
- * on their bounds check); Wild otherwise.  Async-signal-safe.
- */
-NullVerdict nativeFaultVerdict(const DecodedInst *rec, const void *slots,
-                               bool inGuard);
-
-/**
- * Resolve a guard-page trap at code offset @p pcOffset of @p nc (the
- * code of @p df, running on slot file @p slots): the shared trap arm of
- * both native lowerings.  Async-signal-safe — flag tests, a binary
- * search and plain stores — so the SIGSEGV handler runs it for tiered
- * blocks and the classic frame wrapper after its siglongjmp.
- *
- * Returns true with @p resumeAt set to the code offset execution
- * continues at (the next record, or the catch handler of a trap NPE);
- * loads whose null access reads zero get that zero in their
- * destination slot first.  Returns false when the frame must unwind:
- * either an uncaught trap NPE is pending in @p ctx, or the access
- * faults — then the verdict is parked in ctx (parkVerdict/parkRec/
- * parkDf) and ctx.hardFault is set.  The verdict is
- * nativeFaultVerdict's.
- */
-bool resolveNullTrap(const NativeCode &nc, const DecodedFunction &df,
-                     void *slots, uint32_t pcOffset, bool inGuard,
-                     NativeContext &ctx, ExecStats &stats,
-                     uint32_t &resumeAt);
 
 // ---- helpers called from JIT code (see protocol above) --------------
 extern "C" {

@@ -36,9 +36,10 @@
  *    zero, Throw, budget exhaustion, helper-reported exception, and
  *    hardware traps — leaves the block with a record index in
  *    ctx->deoptRecord and a status code; the engine resumes the frame
- *    in the fast interpreter.  Optimized code never re-enters after a
- *    trap, so there is no resume parameter, no handler table and no
- *    raise stubs.
+ *    in the fast interpreter.  A hardware trap takes the same exit: the
+ *    SIGSEGV handler sets the record and the status and rewrites RIP
+ *    to exitOffset.  Optimized code never re-enters after a trap, so
+ *    there is no handler table and no raise stubs.
  *
  * Speculation (section 5.4): an explicit NullCheck immediately followed
  * by the trap-coverable load it guards compiles to zero bytes; the load
@@ -531,8 +532,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
 
     // ---- prologue ------------------------------------------------------
     // Six callee-saved pushes plus one alignment pad keep rsp 16-byte
-    // aligned at helper calls.  The entry ABI's resume parameter (rcx)
-    // is ignored: optimized code is never re-entered after a trap.
+    // aligned at helper calls.
     e.pushReg(R::RBX);
     e.pushReg(R::RBP);
     e.pushReg(R::R12);
@@ -1041,6 +1041,7 @@ compileNativeOptimized(const Function &fn, const DecodedFunction &df,
 
     auto nc = std::make_shared<NativeCode>(std::move(buf));
     nc->codeSize = codeSize;
+    nc->exitOffset = e.labelOffset(lPop);
     nc->optimized = true;
     nc->recordOffsets.resize(nrec + 1);
     for (size_t i = 0; i < nrec; ++i)

@@ -143,6 +143,7 @@ TieredEngine::run(FunctionId func, const std::vector<RuntimeValue> &args)
     // no-op unless a previous run died mid-flight.
     ctx_.poolTop = fi_.pool_.begin();
     Slot *argv = beginRun(func, args);
+    NativeRunScope scope(registry_->pcMap(), fi_.stats_, fi_.heap_);
     return finishRun(func, callFrame(func, argv, 0));
 }
 
@@ -187,16 +188,7 @@ TieredEngine::enterTiered(const DecodedFunction &df, const NativeCode &nc,
         static_cast<int64_t>(options_.maxCallDepth) + 1 -
         static_cast<int64_t>(depth);
     ctx_.budgetRemaining = budgetLeft();
-
-    TieredRun scope;
-    scope.pcMap = registry_->pcMapSlot();
-    scope.stats = &fi_.stats_;
-    scope.guardLo = fi_.heap_.guardLo();
-    scope.guardHi = fi_.heap_.guardHi();
-    tieredEnterRun(&scope);
-    uint32_t status =
-        nc.tieredEntry()(&ctx_, slots, fi_.heap_.hostBase());
-    tieredExitRun(&scope);
+    const uint32_t status = nc.entry()(&ctx_, slots, fi_.heap_.hostBase());
 
     ctx_.depthRemaining = savedDepthRemaining;
     ctx_.poolTop = savedPoolTop;
@@ -270,7 +262,7 @@ TieredEngine::helperSlowCall(NativeContext &ctx, uint32_t recIdx)
         // site the patcher has not reached / could not reach): enter
         // it directly, zero-copy — the staged args already sit where
         // its prologue expects the frame base.
-        return nc->tieredEntry()(&ctx, staged, fi_.heap_.hostBase());
+        return nc->entry()(&ctx, staged, fi_.heap_.hostBase());
     }
 
     // Interpreter fallback for a cold callee, on the staged slots.

@@ -13,7 +13,7 @@
  * publishes it in the shared CodeRegistry; the requesting frame keeps
  * interpreting and only later calls enter the block.
  *
- * Tiered blocks differ from the classic per-frame native tier in three
+ * Tiered blocks differ from the classic per-frame native tier in two
  * ways that make hot call chains cheap:
  *
  *  - One persistent NativeContext is shared by the whole call tree.
@@ -30,10 +30,10 @@
  *    invalidation.  Unlinked or data-driven (virtual/special) calls go
  *    through trapjitTieredSlowCall, which enters published callees
  *    directly or falls back to the interpreter — bumping hotness.
- *  - There is no per-frame sigsetjmp: the SIGSEGV handler resolves a
- *    null-check trap in place against the registry's pc-map and
- *    rewrites RIP to the resume point (or the block's unwind exit for
- *    the hard-fault cases, parking the reason in the context).
+ *
+ * Traps take the one protocol of every native frame (native_runtime.h):
+ * each request's run scope names the registry's pc map, and the
+ * SIGSEGV handler resolves a trap in place.
  *
  * Observable semantics (heap, trace, exceptions, instructions, calls,
  * allocations, traps) are bit-identical to the fast and reference
@@ -146,10 +146,9 @@ class TieredEngine final : public NativeCore,
     /** Route one root frame (arguments at @p args in the pool):
      *  published block or interpreter fallback, either in place. */
     FrameResult callFrame(FunctionId id, Slot *args, size_t depth);
-    /** Bridge C++ -> tiered code: set up the context and TieredRun
-     *  scope, enter on @p slots (where the arguments were staged),
-     *  restore the outer chain's depth and stack top, convert the
-     *  result. */
+    /** Bridge C++ -> tiered code: set up the context, enter on
+     *  @p slots (where the arguments were staged), restore the outer
+     *  chain's depth and stack top, convert the result. */
     FrameResult enterTiered(const DecodedFunction &df,
                             const NativeCode &nc, Slot *slots,
                             size_t depth);

@@ -1,6 +1,8 @@
 #include "testing/equivalence.h"
 
+#include <algorithm>
 #include <bit>
+#include <span>
 #include <sstream>
 
 #include "interp/fast_interpreter.h"
@@ -40,8 +42,11 @@ describeHeapDifference(const Heap &lhs, const Heap &rhs,
     return os.str();
 }
 
+/** Everything one run of `main` makes observable. */
 struct Observation
 {
+    const char *engine = ""; ///< name used in difference messages
+    const Heap *heap = nullptr;
     bool hardFault = false;
     std::string fault;
     ExecResult result;
@@ -49,20 +54,231 @@ struct Observation
     uint64_t heapDigest = 0;
 };
 
+/** Run @p entry on @p engine (any engine with run / trace / heap). */
+template <typename EngineT>
 Observation
-observe(Interpreter &interp, FunctionId entry)
+observe(EngineT &engine, FunctionId entry, const char *name)
 {
     Observation obs;
+    obs.engine = name;
+    obs.heap = &engine.heap();
     try {
-        obs.result = interp.run(entry, {});
+        obs.result = engine.run(entry, {});
     } catch (const HardFault &fault) {
         obs.hardFault = true;
         obs.fault = fault.what();
         return obs;
     }
-    obs.events = interp.trace().events();
-    obs.heapDigest = interp.heap().digest();
+    obs.events = engine.trace().events();
+    obs.heapDigest = engine.heap().digest();
     return obs;
+}
+
+/** One semantic ExecStats counter an engine pair must agree on. */
+struct StatCounter
+{
+    const char *name;
+    uint64_t ExecStats::*field;
+};
+
+/**
+ * Every semantic counter: the fast interpreter must charge the same
+ * costs in the same order as the reference one.
+ */
+constexpr StatCounter kInterpreterCounters[] = {
+    {"instructions", &ExecStats::instructions},
+    {"explicitNullChecks", &ExecStats::explicitNullChecks},
+    {"implicitNullChecks", &ExecStats::implicitNullChecks},
+    {"boundChecks", &ExecStats::boundChecks},
+    {"heapReads", &ExecStats::heapReads},
+    {"heapWrites", &ExecStats::heapWrites},
+    {"calls", &ExecStats::calls},
+    {"allocations", &ExecStats::allocations},
+    {"trapsTaken", &ExecStats::trapsTaken},
+    {"speculativeReadsOfNull", &ExecStats::speculativeReadsOfNull},
+};
+
+/**
+ * The counters native code maintains.  The purely engine-side ones
+ * (dispatches, per-check counts, heap access counts) and the simulated
+ * cycle double are out of scope for frames that ran as machine code.
+ */
+constexpr StatCounter kNativeCounters[] = {
+    {"instructions", &ExecStats::instructions},
+    {"calls", &ExecStats::calls},
+    {"allocations", &ExecStats::allocations},
+    {"trapsTaken", &ExecStats::trapsTaken},
+    {"speculativeReadsOfNull", &ExecStats::speculativeReadsOfNull},
+};
+
+const char *
+outcomeName(ExecResult::Outcome outcome)
+{
+    return outcome == ExecResult::Outcome::Returned ? "returned" : "threw";
+}
+
+/**
+ * The cross-engine diff: HardFault parity (message included), outcome,
+ * exception kind, the typed return value (F64 bitwise), the ordered
+ * event trace, the final heap, then @p counters in order and — when
+ * @p cycles is set — the cycle double bitwise.  The first difference
+ * wins.
+ */
+EquivalenceReport
+diffRuns(const Observation &lhs, const Observation &rhs, Type returnType,
+         std::span<const StatCounter> counters, bool cycles)
+{
+    EquivalenceReport report;
+    const char *ln = lhs.engine;
+    const char *rn = rhs.engine;
+    std::ostringstream os;
+    if (lhs.hardFault != rhs.hardFault) {
+        os << "HardFault parity differs: " << ln << " "
+           << (lhs.hardFault ? "faulted (" + lhs.fault + ")"
+                             : "completed")
+           << ", " << rn << " "
+           << (rhs.hardFault ? "faulted (" + rhs.fault + ")"
+                             : "completed");
+        report.message = os.str();
+        return report;
+    }
+    if (lhs.hardFault) {
+        if (lhs.fault != rhs.fault) {
+            os << "HardFault message differs: " << ln << " \"" << lhs.fault
+               << "\", " << rn << " \"" << rhs.fault << "\"";
+            report.message = os.str();
+            return report;
+        }
+        // Both engines detected the same miscompilation; that IS the
+        // agreed behavior (partial stats are not comparable past the
+        // throw, so stop here).  hardFaulted lets a harness still
+        // flag the case: clean pipelines never HardFault.
+        report.equivalent = true;
+        report.hardFaulted = true;
+        return report;
+    }
+
+    if (lhs.result.outcome != rhs.result.outcome) {
+        os << "outcome differs: " << ln << " "
+           << outcomeName(lhs.result.outcome) << ", " << rn << " "
+           << outcomeName(rhs.result.outcome);
+        report.message = os.str();
+        return report;
+    }
+    if (lhs.result.exception != rhs.result.exception) {
+        os << "exception differs: " << ln << " "
+           << excName(lhs.result.exception) << ", " << rn << " "
+           << excName(rhs.result.exception);
+        report.message = os.str();
+        return report;
+    }
+    if (lhs.result.outcome == ExecResult::Outcome::Returned) {
+        const RuntimeValue &lv = lhs.result.value;
+        const RuntimeValue &rv = rhs.result.value;
+        bool same = true;
+        switch (returnType) {
+          case Type::F64:
+            same = std::bit_cast<uint64_t>(lv.f) ==
+                   std::bit_cast<uint64_t>(rv.f);
+            break;
+          case Type::Ref:
+            same = lv.ref == rv.ref;
+            break;
+          case Type::Void:
+            break;
+          default:
+            same = lv.i == rv.i;
+            break;
+        }
+        if (!same) {
+            os << "return value differs: " << ln << " (i=" << lv.i
+               << ", f=" << lv.f << ", ref=" << lv.ref << "), " << rn
+               << " (i=" << rv.i << ", f=" << rv.f << ", ref=" << rv.ref
+               << ")";
+            report.message = os.str();
+            return report;
+        }
+    }
+
+    size_t n = std::min(lhs.events.size(), rhs.events.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (!(lhs.events[i] == rhs.events[i])) {
+            os << "event " << i << " differs: " << ln << " "
+               << lhs.events[i].toString() << ", " << rn << " "
+               << rhs.events[i].toString();
+            report.message = os.str();
+            return report;
+        }
+    }
+    if (lhs.events.size() != rhs.events.size()) {
+        os << "event count differs: " << ln << " " << lhs.events.size()
+           << ", " << rn << " " << rhs.events.size();
+        report.message = os.str();
+        return report;
+    }
+    if (lhs.heapDigest != rhs.heapDigest) {
+        report.message =
+            describeHeapDifference(*lhs.heap, *rhs.heap, ln, rn);
+        return report;
+    }
+
+    const ExecStats &a = lhs.result.stats;
+    const ExecStats &b = rhs.result.stats;
+    for (const StatCounter &c : counters) {
+        if (a.*c.field != b.*c.field) {
+            os << "stats." << c.name << " differs: " << ln << " "
+               << a.*c.field << ", " << rn << " " << b.*c.field;
+            report.message = os.str();
+            return report;
+        }
+    }
+    if (cycles && std::bit_cast<uint64_t>(a.cycles) !=
+                      std::bit_cast<uint64_t>(b.cycles)) {
+        os.precision(17);
+        os << "cycles differ bitwise: " << ln << " " << a.cycles << ", "
+           << rn << " " << b.cycles;
+        report.message = os.str();
+        return report;
+    }
+
+    report.equivalent = true;
+    report.trapsTaken = a.trapsTaken;
+    report.instructionsExecuted = a.instructions;
+    return report;
+}
+
+/** @p mod's `main`, asserted present. */
+FunctionId
+mainOf(const Module &mod)
+{
+    FunctionId entry = mod.findFunction("main");
+    TRAPJIT_ASSERT(entry != kNoFunction, "module has no main");
+    return entry;
+}
+
+/** Every oracle records the event trace. */
+InterpOptions
+tracedOptions()
+{
+    InterpOptions options;
+    options.recordTrace = true;
+    return options;
+}
+
+/** Diff @p engine's run of main against the fast interpreter's. */
+template <typename EngineT>
+EquivalenceReport
+diffAgainstFast(Module &mod, const Target &runtime_target,
+                DecodeOptions decode_options, EngineT &engine,
+                const char *name)
+{
+    const FunctionId entry = mainOf(mod);
+    FastInterpreter fast(mod, runtime_target, tracedOptions(), nullptr,
+                         decode_options);
+    const Observation lhs = observe(fast, entry, "fast");
+    const Observation rhs = observe(engine, entry, name);
+    return diffRuns(lhs, rhs, mod.function(entry).returnType(),
+                    kNativeCounters, false);
 }
 
 } // namespace
@@ -84,14 +300,10 @@ compareWithReference(
     const Target &runtime_target)
 {
     EquivalenceReport report;
-    InterpOptions options;
-    options.recordTrace = true;
-
     std::unique_ptr<Module> reference = build();
-    FunctionId refEntry = reference->findFunction("main");
-    TRAPJIT_ASSERT(refEntry != kNoFunction, "module has no main");
-    Interpreter refInterp(*reference, runtime_target, options);
-    Observation ref = observe(refInterp, refEntry);
+    FunctionId refEntry = mainOf(*reference);
+    Interpreter refInterp(*reference, runtime_target, tracedOptions());
+    Observation ref = observe(refInterp, refEntry, "reference");
     if (ref.hardFault) {
         report.message = "reference run hard-faulted: " + ref.fault;
         return report;
@@ -105,10 +317,9 @@ compareWithReference(
                          verify.message();
         return report;
     }
-    FunctionId optEntry = optimized->findFunction("main");
-    TRAPJIT_ASSERT(optEntry != kNoFunction, "module has no main");
-    Interpreter optInterp(*optimized, runtime_target, options);
-    Observation opt = observe(optInterp, optEntry);
+    FunctionId optEntry = mainOf(*optimized);
+    Interpreter optInterp(*optimized, runtime_target, tracedOptions());
+    Observation opt = observe(optInterp, optEntry, "optimized");
     if (opt.hardFault) {
         report.message = "optimized run hard-faulted (miscompile): " +
                          opt.fault;
@@ -175,172 +386,14 @@ EquivalenceReport
 compareEngines(Module &mod, const Target &runtime_target,
                DecodeOptions decode_options)
 {
-    EquivalenceReport report;
-    FunctionId entry = mod.findFunction("main");
-    TRAPJIT_ASSERT(entry != kNoFunction, "module has no main");
-    const Type returnType = mod.function(entry).returnType();
-
-    InterpOptions options;
-    options.recordTrace = true;
-
-    Observation ref;
-    Interpreter refInterp(mod, runtime_target, options);
-    try {
-        ref.result = refInterp.run(entry, {});
-        ref.events = refInterp.trace().events();
-        ref.heapDigest = refInterp.heap().digest();
-    } catch (const HardFault &fault) {
-        ref.hardFault = true;
-        ref.fault = fault.what();
-    }
-
-    Observation fast;
-    FastInterpreter fastInterp(mod, runtime_target, options, nullptr,
-                               decode_options);
-    try {
-        fast.result = fastInterp.run(entry, {});
-        fast.events = fastInterp.trace().events();
-        fast.heapDigest = fastInterp.heap().digest();
-    } catch (const HardFault &fault) {
-        fast.hardFault = true;
-        fast.fault = fault.what();
-    }
-
-    std::ostringstream os;
-    if (ref.hardFault != fast.hardFault) {
-        os << "HardFault parity differs: reference "
-           << (ref.hardFault ? "faulted (" + ref.fault + ")"
-                             : "completed")
-           << ", fast "
-           << (fast.hardFault ? "faulted (" + fast.fault + ")"
-                              : "completed");
-        report.message = os.str();
-        return report;
-    }
-    if (ref.hardFault) {
-        if (ref.fault != fast.fault) {
-            os << "HardFault message differs: reference \"" << ref.fault
-               << "\", fast \"" << fast.fault << "\"";
-            report.message = os.str();
-            return report;
-        }
-        // Both engines detected the same miscompilation; that IS the
-        // agreed behavior (partial stats are not comparable past the
-        // throw, so stop here).  hardFaulted lets a harness still
-        // flag the case: clean pipelines never HardFault.
-        report.equivalent = true;
-        report.hardFaulted = true;
-        return report;
-    }
-
-    if (ref.result.outcome != fast.result.outcome) {
-        os << "outcome differs: reference "
-           << (ref.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw")
-           << ", fast "
-           << (fast.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw");
-        report.message = os.str();
-        return report;
-    }
-    if (ref.result.exception != fast.result.exception) {
-        os << "exception differs: reference "
-           << excName(ref.result.exception) << ", fast "
-           << excName(fast.result.exception);
-        report.message = os.str();
-        return report;
-    }
-    if (ref.result.outcome == ExecResult::Outcome::Returned) {
-        const RuntimeValue &rv = ref.result.value;
-        const RuntimeValue &fv = fast.result.value;
-        bool same = true;
-        switch (returnType) {
-          case Type::F64:
-            same = std::bit_cast<uint64_t>(rv.f) ==
-                   std::bit_cast<uint64_t>(fv.f);
-            break;
-          case Type::Ref:
-            same = rv.ref == fv.ref;
-            break;
-          case Type::Void:
-            break;
-          default:
-            same = rv.i == fv.i;
-            break;
-        }
-        if (!same) {
-            os << "return value differs: reference (i=" << rv.i
-               << ", f=" << rv.f << ", ref=" << rv.ref << "), fast (i="
-               << fv.i << ", f=" << fv.f << ", ref=" << fv.ref << ")";
-            report.message = os.str();
-            return report;
-        }
-    }
-
-    size_t n = std::min(ref.events.size(), fast.events.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (!(ref.events[i] == fast.events[i])) {
-            os << "event " << i << " differs: reference "
-               << ref.events[i].toString() << ", fast "
-               << fast.events[i].toString();
-            report.message = os.str();
-            return report;
-        }
-    }
-    if (ref.events.size() != fast.events.size()) {
-        os << "event count differs: reference " << ref.events.size()
-           << ", fast " << fast.events.size();
-        report.message = os.str();
-        return report;
-    }
-    if (ref.heapDigest != fast.heapDigest) {
-        report.message = describeHeapDifference(
-            refInterp.heap(), fastInterp.heap(), "reference", "fast");
-        return report;
-    }
-
-    // Bit-exact stats: the decoded engine must charge the same costs in
-    // the same order, so even the cycle double is compared bitwise.
-    const ExecStats &a = ref.result.stats;
-    const ExecStats &b = fast.result.stats;
-    auto counter = [&](const char *name, uint64_t x, uint64_t y) {
-        if (x != y && report.message.empty()) {
-            std::ostringstream cs;
-            cs << "stats." << name << " differs: reference " << x
-               << ", fast " << y;
-            report.message = cs.str();
-        }
-    };
-    counter("instructions", a.instructions, b.instructions);
-    counter("explicitNullChecks", a.explicitNullChecks,
-            b.explicitNullChecks);
-    counter("implicitNullChecks", a.implicitNullChecks,
-            b.implicitNullChecks);
-    counter("boundChecks", a.boundChecks, b.boundChecks);
-    counter("heapReads", a.heapReads, b.heapReads);
-    counter("heapWrites", a.heapWrites, b.heapWrites);
-    counter("calls", a.calls, b.calls);
-    counter("allocations", a.allocations, b.allocations);
-    counter("trapsTaken", a.trapsTaken, b.trapsTaken);
-    counter("speculativeReadsOfNull", a.speculativeReadsOfNull,
-            b.speculativeReadsOfNull);
-    if (!report.message.empty())
-        return report;
-    if (std::bit_cast<uint64_t>(a.cycles) !=
-        std::bit_cast<uint64_t>(b.cycles)) {
-        os.precision(17);
-        os << "cycles differ bitwise: reference " << a.cycles
-           << ", fast " << b.cycles;
-        report.message = os.str();
-        return report;
-    }
-
-    report.equivalent = true;
-    report.trapsTaken = ref.result.stats.trapsTaken;
-    report.instructionsExecuted = ref.result.stats.instructions;
-    return report;
+    const FunctionId entry = mainOf(mod);
+    Interpreter ref(mod, runtime_target, tracedOptions());
+    FastInterpreter fast(mod, runtime_target, tracedOptions(), nullptr,
+                         decode_options);
+    const Observation lhs = observe(ref, entry, "reference");
+    const Observation rhs = observe(fast, entry, "fast");
+    return diffRuns(lhs, rhs, mod.function(entry).returnType(),
+                    kInterpreterCounters, true);
 }
 
 EquivalenceReport
@@ -348,156 +401,11 @@ compareNativeEngine(Module &mod, const Target &runtime_target,
                     DecodeOptions decode_options,
                     NativeEngineOptions engine_options)
 {
-    EquivalenceReport report;
-    FunctionId entry = mod.findFunction("main");
-    TRAPJIT_ASSERT(entry != kNoFunction, "module has no main");
-    const Type returnType = mod.function(entry).returnType();
-
-    InterpOptions options;
-    options.recordTrace = true;
-
-    Observation fast;
-    FastInterpreter fastInterp(mod, runtime_target, options, nullptr,
-                               decode_options);
-    try {
-        fast.result = fastInterp.run(entry, {});
-        fast.events = fastInterp.trace().events();
-        fast.heapDigest = fastInterp.heap().digest();
-    } catch (const HardFault &fault) {
-        fast.hardFault = true;
-        fast.fault = fault.what();
-    }
-
-    Observation native;
-    NativeEngine engine(mod, runtime_target, options, nullptr,
+    NativeEngine engine(mod, runtime_target, tracedOptions(), nullptr,
                         decode_options, nullptr,
                         std::move(engine_options));
-    try {
-        native.result = engine.run(entry, {});
-        native.events = engine.trace().events();
-        native.heapDigest = engine.heap().digest();
-    } catch (const HardFault &fault) {
-        native.hardFault = true;
-        native.fault = fault.what();
-    }
-
-    std::ostringstream os;
-    if (fast.hardFault != native.hardFault) {
-        os << "HardFault parity differs: fast "
-           << (fast.hardFault ? "faulted (" + fast.fault + ")"
-                              : "completed")
-           << ", native "
-           << (native.hardFault ? "faulted (" + native.fault + ")"
-                                : "completed");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.hardFault) {
-        if (fast.fault != native.fault) {
-            os << "HardFault message differs: fast \"" << fast.fault
-               << "\", native \"" << native.fault << "\"";
-            report.message = os.str();
-            return report;
-        }
-        report.equivalent = true;
-        report.hardFaulted = true;
-        return report;
-    }
-
-    if (fast.result.outcome != native.result.outcome) {
-        os << "outcome differs: fast "
-           << (fast.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw")
-           << ", native "
-           << (native.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.exception != native.result.exception) {
-        os << "exception differs: fast "
-           << excName(fast.result.exception) << ", native "
-           << excName(native.result.exception);
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.outcome == ExecResult::Outcome::Returned) {
-        const RuntimeValue &fv = fast.result.value;
-        const RuntimeValue &nv = native.result.value;
-        bool same = true;
-        switch (returnType) {
-          case Type::F64:
-            same = std::bit_cast<uint64_t>(fv.f) ==
-                   std::bit_cast<uint64_t>(nv.f);
-            break;
-          case Type::Ref:
-            same = fv.ref == nv.ref;
-            break;
-          case Type::Void:
-            break;
-          default:
-            same = fv.i == nv.i;
-            break;
-        }
-        if (!same) {
-            os << "return value differs: fast (i=" << fv.i
-               << ", f=" << fv.f << ", ref=" << fv.ref << "), native (i="
-               << nv.i << ", f=" << nv.f << ", ref=" << nv.ref << ")";
-            report.message = os.str();
-            return report;
-        }
-    }
-
-    size_t n = std::min(fast.events.size(), native.events.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (!(fast.events[i] == native.events[i])) {
-            os << "event " << i << " differs: fast "
-               << fast.events[i].toString() << ", native "
-               << native.events[i].toString();
-            report.message = os.str();
-            return report;
-        }
-    }
-    if (fast.events.size() != native.events.size()) {
-        os << "event count differs: fast " << fast.events.size()
-           << ", native " << native.events.size();
-        report.message = os.str();
-        return report;
-    }
-    if (fast.heapDigest != native.heapDigest) {
-        report.message = describeHeapDifference(
-            fastInterp.heap(), engine.heap(), "fast", "native");
-        return report;
-    }
-
-    // The counters both engines maintain must agree exactly; the purely
-    // engine-side ones (dispatches, per-check counts, heap access
-    // counts) and the simulated cycle double are native-exempt.
-    const ExecStats &a = fast.result.stats;
-    const ExecStats &b = native.result.stats;
-    auto counter = [&](const char *name, uint64_t x, uint64_t y) {
-        if (x != y && report.message.empty()) {
-            std::ostringstream cs;
-            cs << "stats." << name << " differs: fast " << x
-               << ", native " << y;
-            report.message = cs.str();
-        }
-    };
-    counter("instructions", a.instructions, b.instructions);
-    counter("calls", a.calls, b.calls);
-    counter("allocations", a.allocations, b.allocations);
-    counter("trapsTaken", a.trapsTaken, b.trapsTaken);
-    counter("speculativeReadsOfNull", a.speculativeReadsOfNull,
-            b.speculativeReadsOfNull);
-    if (!report.message.empty())
-        return report;
-
-    report.equivalent = true;
-    report.trapsTaken = fast.result.stats.trapsTaken;
-    report.instructionsExecuted = fast.result.stats.instructions;
-    return report;
+    return diffAgainstFast(mod, runtime_target, decode_options, engine,
+                           "native");
 }
 
 EquivalenceReport
@@ -505,156 +413,10 @@ compareTieredEngine(Module &mod, const Target &runtime_target,
                     DecodeOptions decode_options,
                     TieredOptions tiered_options)
 {
-    EquivalenceReport report;
-    FunctionId entry = mod.findFunction("main");
-    TRAPJIT_ASSERT(entry != kNoFunction, "module has no main");
-    const Type returnType = mod.function(entry).returnType();
-
-    InterpOptions options;
-    options.recordTrace = true;
-
-    Observation fast;
-    FastInterpreter fastInterp(mod, runtime_target, options, nullptr,
-                               decode_options);
-    try {
-        fast.result = fastInterp.run(entry, {});
-        fast.events = fastInterp.trace().events();
-        fast.heapDigest = fastInterp.heap().digest();
-    } catch (const HardFault &fault) {
-        fast.hardFault = true;
-        fast.fault = fault.what();
-    }
-
-    Observation tiered;
-    TieredEngine engine(mod, runtime_target, options, nullptr,
+    TieredEngine engine(mod, runtime_target, tracedOptions(), nullptr,
                         decode_options, tiered_options);
-    try {
-        tiered.result = engine.run(entry, {});
-        tiered.events = engine.trace().events();
-        tiered.heapDigest = engine.heap().digest();
-    } catch (const HardFault &fault) {
-        tiered.hardFault = true;
-        tiered.fault = fault.what();
-    }
-
-    std::ostringstream os;
-    if (fast.hardFault != tiered.hardFault) {
-        os << "HardFault parity differs: fast "
-           << (fast.hardFault ? "faulted (" + fast.fault + ")"
-                              : "completed")
-           << ", tiered "
-           << (tiered.hardFault ? "faulted (" + tiered.fault + ")"
-                                : "completed");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.hardFault) {
-        if (fast.fault != tiered.fault) {
-            os << "HardFault message differs: fast \"" << fast.fault
-               << "\", tiered \"" << tiered.fault << "\"";
-            report.message = os.str();
-            return report;
-        }
-        report.equivalent = true;
-        report.hardFaulted = true;
-        return report;
-    }
-
-    if (fast.result.outcome != tiered.result.outcome) {
-        os << "outcome differs: fast "
-           << (fast.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw")
-           << ", tiered "
-           << (tiered.result.outcome == ExecResult::Outcome::Returned
-                   ? "returned"
-                   : "threw");
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.exception != tiered.result.exception) {
-        os << "exception differs: fast "
-           << excName(fast.result.exception) << ", tiered "
-           << excName(tiered.result.exception);
-        report.message = os.str();
-        return report;
-    }
-    if (fast.result.outcome == ExecResult::Outcome::Returned) {
-        const RuntimeValue &fv = fast.result.value;
-        const RuntimeValue &tv = tiered.result.value;
-        bool same = true;
-        switch (returnType) {
-          case Type::F64:
-            same = std::bit_cast<uint64_t>(fv.f) ==
-                   std::bit_cast<uint64_t>(tv.f);
-            break;
-          case Type::Ref:
-            same = fv.ref == tv.ref;
-            break;
-          case Type::Void:
-            break;
-          default:
-            same = fv.i == tv.i;
-            break;
-        }
-        if (!same) {
-            os << "return value differs: fast (i=" << fv.i
-               << ", f=" << fv.f << ", ref=" << fv.ref
-               << "), tiered (i=" << tv.i << ", f=" << tv.f
-               << ", ref=" << tv.ref << ")";
-            report.message = os.str();
-            return report;
-        }
-    }
-
-    size_t n = std::min(fast.events.size(), tiered.events.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (!(fast.events[i] == tiered.events[i])) {
-            os << "event " << i << " differs: fast "
-               << fast.events[i].toString() << ", tiered "
-               << tiered.events[i].toString();
-            report.message = os.str();
-            return report;
-        }
-    }
-    if (fast.events.size() != tiered.events.size()) {
-        os << "event count differs: fast " << fast.events.size()
-           << ", tiered " << tiered.events.size();
-        report.message = os.str();
-        return report;
-    }
-    if (fast.heapDigest != tiered.heapDigest) {
-        report.message = describeHeapDifference(
-            fastInterp.heap(), engine.heap(), "fast", "tiered");
-        return report;
-    }
-
-    // Same exemptions as the classic native tier: engine-side dynamic
-    // counters and the simulated cycle model are out of scope for
-    // frames that ran as machine code.
-    const ExecStats &a = fast.result.stats;
-    const ExecStats &b = tiered.result.stats;
-    auto counter = [&](const char *name, uint64_t x, uint64_t y) {
-        if (x != y && report.message.empty()) {
-            std::ostringstream cs;
-            cs << "stats." << name << " differs: fast " << x
-               << ", tiered " << y;
-            report.message = cs.str();
-        }
-    };
-    counter("instructions", a.instructions, b.instructions);
-    counter("calls", a.calls, b.calls);
-    counter("allocations", a.allocations, b.allocations);
-    counter("trapsTaken", a.trapsTaken, b.trapsTaken);
-    counter("speculativeReadsOfNull", a.speculativeReadsOfNull,
-            b.speculativeReadsOfNull);
-    if (!report.message.empty())
-        return report;
-
-    report.equivalent = true;
-    report.trapsTaken = fast.result.stats.trapsTaken;
-    report.instructionsExecuted = fast.result.stats.instructions;
-    return report;
+    return diffAgainstFast(mod, runtime_target, decode_options, engine,
+                           "tiered");
 }
 
 } // namespace trapjit

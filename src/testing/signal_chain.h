@@ -8,9 +8,9 @@
  * Installed on top of trapjit's handler, it runs with SIGSEGV blocked
  * (SIGSEGV in its sa_mask, no SA_NODEFER) and forwards every fault to
  * the handler it replaced, the way a host runtime chains into ours.
- * Recovery that siglongjmps out of trapjit's handler without restoring
- * the interrupted mask leaves SIGSEGV blocked, and the next guarded
- * fault kills the process, so tests install it in a forked child
+ * Recovery that jumped out of trapjit's handler instead of returning
+ * from it would leave SIGSEGV blocked, and the next guarded fault would
+ * kill the process, so tests install it in a forked child
  * (EXPECT_EXIT).
  */
 

@@ -21,7 +21,8 @@
  *     one carries the kNativeExplicitNullCheckBytes compare-and-branch;
  *  3. directed tests for the trap path (a real fault must be taken and
  *     must surface as the interpreter-identical NullPointerException,
- *     also when a foreign SIGSEGV handler chains into trapjit's),
+ *     also when a foreign SIGSEGV handler chains into trapjit's, and a
+ *     fault outside JIT code must still reach the previous handler),
  *     mixed native/interpreted call stacks, budget-fault and
  *     call-depth-fault message parity, one program per null-access
  *     verdict run on every engine, and the TRAPJIT_INTERP selector;
@@ -32,9 +33,8 @@
  *     deep in such a chain, then reset(); an optimized frame that
  *     deopts and then calls from its resumed slots.
  *
- * Everything execution-related skips on hosts without the native tier
- * and under AddressSanitizer (ASan's own SIGSEGV instrumentation is
- * incompatible with recovering from intentional guard-page faults).
+ * Everything execution-related skips on hosts without the native tier;
+ * it runs under AddressSanitizer too (the sanitizer CI job).
  */
 
 #include <gtest/gtest.h>
@@ -43,11 +43,14 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "codegen/check_bytes.h"
 #include "codegen/native/native_compiler.h"
@@ -65,31 +68,16 @@
 #include "testing/signal_chain.h"
 #include "testing/workload_gen/workload_gen.h"
 
-#if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define __SANITIZE_ADDRESS__ 1
-#endif
-#endif
-
 namespace trapjit
 {
 namespace
 {
-
-#if defined(__SANITIZE_ADDRESS__)
-constexpr bool kAsanActive = true;
-#else
-constexpr bool kAsanActive = false;
-#endif
 
 /** Skip (with notice) where native code cannot run: see file comment. */
 #define TRAPJIT_REQUIRE_NATIVE_TIER()                                        \
     do {                                                                     \
         if (!nativeTierSupported())                                          \
             GTEST_SKIP() << "native tier requires x86-64 Linux";             \
-        if (kAsanActive)                                                     \
-            GTEST_SKIP()                                                     \
-                << "guard-page SIGSEGV recovery is incompatible with ASan";  \
     } while (0)
 
 struct Arm
@@ -376,17 +364,17 @@ TEST(NativeTrap, GuardPageFaultBecomesTheInterpreterIdenticalNpe)
 }
 
 // ---------------------------------------------------------------------------
-// Mask-free trap recovery under a chained foreign handler
+// Trap recovery under a chained foreign handler
 // ---------------------------------------------------------------------------
 //
-// Native frames recover traps with sigsetjmp(jmp, 0): siglongjmp out of
-// the handler keeps the handler's signal mask, and the engine restores
-// the interrupted one from uc_sigmask.  A foreign handler installed on
-// top of trapjit's — SIGSEGV in its sa_mask, no SA_NODEFER, forwarding
-// to trapjit — leaves SIGSEGV blocked when trapjit's handler jumps out,
-// so an engine that skipped the restore would be killed by the next
-// guard-page fault.  The test runs in a forked child for that reason
-// (the handler is testing/signal_chain.h's).
+// Native frames recover traps inside the SIGSEGV handler: it rewrites
+// the faulting frame's RIP and returns, so sigreturn reinstates the
+// interrupted signal mask.  A foreign handler installed on top of
+// trapjit's — SIGSEGV in its sa_mask, no SA_NODEFER, forwarding to
+// trapjit — would leave SIGSEGV blocked if recovery ever jumped out of
+// the handler instead, and the next guard-page fault would kill the
+// process.  The test runs in a forked child for that reason (the
+// handler is testing/signal_chain.h's).
 
 [[noreturn]] void
 childFail(const char *what, const char *engine, int run)
@@ -397,9 +385,11 @@ childFail(const char *what, const char *engine, int run)
 
 /**
  * In the forked child: chain a foreign handler over trapjit's, block
- * SIGUSR1, and run @p mod's main twice per native backend against the
- * fast interpreter's result.  Exits 0 only if every run matched and
- * left the thread's signal mask exactly as it found it.
+ * SIGUSR1, and run @p mod's main twice on each native engine (baseline,
+ * optimized, and tiered with every function promoted up front) against
+ * the fast interpreter's result.  Exits 0 only if every run matched,
+ * took its traps through the foreign handler and left the thread's
+ * signal mask exactly as it found it.
  */
 [[noreturn]] void
 runUnderChainedHandler(const Module &mod, const Target &target)
@@ -419,6 +409,12 @@ runUnderChainedHandler(const Module &mod, const Target &target)
                         baselineOpts);
     NativeEngine optimized(mod, target, {}, nullptr, {}, nullptr,
                            optimizedOpts);
+    TieredOptions manual;
+    manual.threshold = 1u << 30;
+    manual.synchronous = true;
+    TieredEngine tiered(mod, target, {}, nullptr, {}, manual);
+    for (FunctionId f = 0; f < mod.numFunctions(); ++f)
+        tiered.promoteNow(f);
 
     if (!chainForeignSegvHandler())
         childFail("cannot chain over trapjit's handler", "setup", 0);
@@ -428,7 +424,7 @@ runUnderChainedHandler(const Module &mod, const Target &target)
     sigaddset(&usr1, SIGUSR1);
     pthread_sigmask(SIG_BLOCK, &usr1, nullptr);
 
-    auto check = [&](NativeEngine &engine, const char *name) {
+    auto check = [&](auto &engine, const char *name) {
         for (int run = 1; run <= 2; ++run) {
             engine.reset();
             const sig_atomic_t entriesBefore = g_foreignSegvEntries;
@@ -461,6 +457,7 @@ runUnderChainedHandler(const Module &mod, const Target &target)
     };
     check(native, "native");
     check(optimized, "optimized");
+    check(tiered, "tiered");
     std::_Exit(0);
 }
 
@@ -489,6 +486,60 @@ TEST(NativeTrapMaskDeathTest, RecoveryStaysExactUnderChainedHandler)
 
     EXPECT_EXIT(runUnderChainedHandler(*mod, target),
                 ::testing::ExitedWithCode(0), "");
+}
+
+// A fault outside JIT code is not ours, even while a native run scope
+// is active and the fault address lies in the heap guard region: the
+// handler must chain it to the handler installed before trapjit's.
+
+constexpr int kPreviousHandlerExit = 42;
+
+void
+previousSegvHandler(int, siginfo_t *, void *)
+{
+    std::_Exit(kPreviousHandlerExit);
+}
+
+[[noreturn]] void
+faultOutsideJitCodeInRunScope(const Module &mod, const Target &target)
+{
+    // A handler that claimed the fault would resume somewhere wrong and
+    // could fault forever: SIGALRM ends such a child with a signal.
+    alarm(10);
+    struct sigaction previous;
+    std::memset(&previous, 0, sizeof(previous));
+    previous.sa_sigaction = previousSegvHandler;
+    previous.sa_flags = SA_SIGINFO;
+    sigemptyset(&previous.sa_mask);
+    if (sigaction(SIGSEGV, &previous, nullptr) != 0)
+        childFail("cannot install the previous handler", "setup", 0);
+
+    // Installs trapjit's handler over the previous one.
+    NativeEngine engine(mod, target);
+    FunctionId entry = mod.findFunction("main");
+    if (engine.run(entry, {}).stats.trapsTaken == 0)
+        childFail("the engine took no trap", "native", 1);
+
+    // The same scope run() enters, mapping main's compiled code.
+    NativePcMapSlot map;
+    map.add(*engine.nativeCode(entry));
+    ExecStats stats;
+    NativeRunScope scope(map.current(), stats, engine.heap());
+    volatile const int32_t *guard =
+        reinterpret_cast<const int32_t *>(engine.heap().hostBase() + 8);
+    (void)*guard;
+    childFail("the guard-region read did not fault", "native", 1);
+}
+
+TEST(NativeTrapChainDeathTest, FaultOutsideJitCodeReachesPreviousHandler)
+{
+    TRAPJIT_REQUIRE_NATIVE_TIER();
+    Target target = makeIA32WindowsTarget();
+    auto mod = buildFieldReadModule(/*throughNull=*/true);
+    Compiler compiler(target, makeNoOptTrapConfig());
+    compiler.compile(*mod);
+    EXPECT_EXIT(faultOutsideJitCodeInRunScope(*mod, target),
+                ::testing::ExitedWithCode(kPreviousHandlerExit), "");
 }
 
 // ---------------------------------------------------------------------------

@@ -43,22 +43,10 @@
 #include "testing/random_program.h"
 #include "testing/workload_gen/workload_gen.h"
 
-#if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define __SANITIZE_ADDRESS__ 1
-#endif
-#endif
-
 namespace trapjit
 {
 namespace
 {
-
-#if defined(__SANITIZE_ADDRESS__)
-constexpr bool kAsanActive = true;
-#else
-constexpr bool kAsanActive = false;
-#endif
 
 /** A fresh temp directory, removed by the destructor. */
 struct TempDir
@@ -492,9 +480,6 @@ TEST(CodeGovernance, BudgetEvictsOldestBlocksAndTheyRepromote)
 {
     if (!nativeTierSupported())
         GTEST_SKIP() << "native tier requires x86-64 Linux";
-    if (kAsanActive)
-        GTEST_SKIP() << "guard-page SIGSEGV recovery is incompatible "
-                        "with ASan";
 
     Target target = makeIA32WindowsTarget();
     const WorkloadProfile *preset = findWorkloadProfile("call_web");

@@ -34,8 +34,8 @@
  *     published (the controller already gates publishing on it; this
  *     checks the published artifacts directly).
  *
- * Execution tests skip where the native tier cannot run (non-x86-64,
- * ASan); the engine-selection and option-parsing tests run anywhere.
+ * Execution tests skip where the native tier cannot run (non-x86-64);
+ * the engine-selection and option-parsing tests run anywhere.
  */
 
 #include <gtest/gtest.h>
@@ -65,30 +65,15 @@
 #include "testing/random_program.h"
 #include "testing/workload_gen/workload_gen.h"
 
-#if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define __SANITIZE_ADDRESS__ 1
-#endif
-#endif
-
 namespace trapjit
 {
 namespace
 {
 
-#if defined(__SANITIZE_ADDRESS__)
-constexpr bool kAsanActive = true;
-#else
-constexpr bool kAsanActive = false;
-#endif
-
 #define TRAPJIT_REQUIRE_NATIVE_TIER()                                        \
     do {                                                                     \
         if (!nativeTierSupported())                                          \
             GTEST_SKIP() << "native tier requires x86-64 Linux";             \
-        if (kAsanActive)                                                     \
-            GTEST_SKIP()                                                     \
-                << "guard-page SIGSEGV recovery is incompatible with ASan";  \
     } while (0)
 
 struct Arm

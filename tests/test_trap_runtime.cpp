@@ -1,146 +1,49 @@
 /**
  * @file
- * Tests of the real hardware-trap runtime: a PROT_NONE page plus a
- * SIGSEGV handler implementing null checks with zero hot-path cost —
- * the actual mechanism the paper's JIT uses on Windows and AIX.
+ * Hardware-trap null checks across threads, and their semantics on the
+ * fast path.  Native frames of every engine resolve guard-page SIGSEGVs
+ * inside the process-wide handler against the faulting thread's run
+ * scope (codegen/native/native_runtime.h); the concurrency test pins
+ * that traps taken on many threads at once never cross over.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "arch/target.h"
 #include "codegen/native/native_engine.h"
+#include "codegen/native/tiered_engine.h"
 #include "interp/fast_interpreter.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "jit/compiler.h"
-#include "runtime/trap_runtime.h"
 #include "testing/equivalence.h"
-#include "testing/signal_chain.h"
 #include "testing/workload_gen/workload_gen.h"
-
-#if !defined(__SANITIZE_ADDRESS__) && defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define __SANITIZE_ADDRESS__ 1
-#endif
-#endif
 
 namespace trapjit
 {
 namespace
 {
 
-TEST(TrapRuntime, ReadOfProtectedPageTrapsToNull)
+TEST(TrapIsolation, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
 {
-    TrapRuntime runtime;
-    uintptr_t simNull = runtime.simNull();
-
-    // A "field read at offset 8" through the null reference.
-    auto result = runtime.guardedReadI32(simNull + 8);
-    EXPECT_FALSE(result.has_value()) << "the access must trap";
-    EXPECT_EQ(1u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, ReadOfRealMemorySucceeds)
-{
-    TrapRuntime runtime;
-    int32_t cell = 12345;
-    auto result =
-        runtime.guardedReadI32(reinterpret_cast<uintptr_t>(&cell));
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(12345, *result);
-    EXPECT_EQ(0u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, WriteTrapsAndRecovers)
-{
-    TrapRuntime runtime;
-    EXPECT_FALSE(runtime.guardedWriteI32(runtime.simNull() + 16, 7));
-    int32_t cell = 0;
-    EXPECT_TRUE(runtime.guardedWriteI32(
-        reinterpret_cast<uintptr_t>(&cell), 7));
-    EXPECT_EQ(7, cell);
-    EXPECT_EQ(1u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, RepeatedTrapsAllRecover)
-{
-    TrapRuntime runtime;
-    for (int i = 0; i < 50; ++i) {
-        auto result = runtime.guardedReadI32(runtime.simNull() + 4 * i);
-        EXPECT_FALSE(result.has_value());
-    }
-    EXPECT_EQ(50u, runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, ConcurrentTrapsRecoverIndependently)
-{
-    // The thread-safety contract: traps taken simultaneously on many
-    // threads recover on *their own* thread (thread-local jump buffer,
-    // per-thread SA_ONSTACK alternate stack) without cross-talk.  Each
-    // thread interleaves faulting and non-faulting accesses so a
-    // recovery delivered to the wrong thread would misclassify one of
-    // them immediately.
-    TrapRuntime runtime;
-    constexpr int kThreads = 8;
-    constexpr int kIters = 200;
-    std::atomic<int> mistakes{0};
-    std::atomic<bool> go{false};
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&runtime, &mistakes, &go, t] {
-            while (!go.load(std::memory_order_acquire)) {
-            }
-            int32_t cell = t;
-            for (int i = 0; i < kIters; ++i) {
-                auto trapped =
-                    runtime.guardedReadI32(runtime.simNull() + 8 * t + 4);
-                if (trapped.has_value())
-                    mistakes.fetch_add(1, std::memory_order_relaxed);
-                auto fine = runtime.guardedReadI32(
-                    reinterpret_cast<uintptr_t>(&cell));
-                if (!fine.has_value() || *fine != t)
-                    mistakes.fetch_add(1, std::memory_order_relaxed);
-                if (!runtime.guardedWriteI32(
-                        reinterpret_cast<uintptr_t>(&cell), t))
-                    mistakes.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    go.store(true, std::memory_order_release);
-    for (std::thread &th : threads)
-        th.join();
-
-    EXPECT_EQ(0, mistakes.load());
-    EXPECT_EQ(static_cast<uint64_t>(kThreads) * kIters,
-              runtime.trapsTaken());
-}
-
-TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
-{
-    // The full-stack version of ConcurrentTrapsRecoverIndependently:
-    // eight mutator threads simultaneously execute *different*
-    // fuzz-generated trap-heavy programs on all three engines
-    // (reference, fast, native where available — the native threads
-    // take real guard-page SIGSEGVs), and every thread must reproduce
-    // the exact single-threaded result — outcome, exception, return value, trap
-    // count and final heap bytes.  Cross-thread trap delivery would
-    // corrupt one of them instantly.
-    constexpr int kThreads = 8;
+    // Ten mutator threads simultaneously execute *different*
+    // fuzz-generated trap-heavy programs, two threads per engine:
+    // reference, fast, and — where the native tier exists — native,
+    // optimized and tiered (every function promoted up front, so the
+    // traps land in tiered blocks).  The native threads take real
+    // guard-page SIGSEGVs, and every thread must reproduce the exact
+    // single-threaded result: outcome, exception, return value, trap
+    // count and final heap bytes.  A trap resolved against another
+    // thread's run scope would corrupt one of them at once.
+    constexpr int kEngines = 5;
+    constexpr int kThreads = 2 * kEngines;
     constexpr int kItersPerThread = 6;
 
-#if defined(__SANITIZE_ADDRESS__)
-    constexpr bool nativeUsable = false;
-#else
     constexpr bool nativeUsable = nativeTierSupported();
-#endif
 
     Target target = makeIA32WindowsTarget();
     const WorkloadProfile *storm = findWorkloadProfile("null_storm");
@@ -165,7 +68,9 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
         Interpreter ref(*cases[t].mod, target);
         cases[t].result = ref.run(cases[t].entry, {});
         cases[t].heapDigest = ref.heap().digest();
-        expectedTraps += cases[t].result.stats.trapsTaken;
+        // Only the native threads' programs must trap.
+        if (t % kEngines >= 2)
+            expectedTraps += cases[t].result.stats.trapsTaken;
     }
     // The regime must actually exercise the trap path.
     ASSERT_GT(expectedTraps, 0u);
@@ -176,24 +81,40 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             const Expected &want = cases[t];
+            const Module &mod = *want.mod;
             while (!go.load(std::memory_order_acquire)) {
             }
+            auto runOn = [&](auto &engine, uint64_t &digest) {
+                ExecResult got = engine.run(want.entry, {});
+                digest = engine.heap().digest();
+                return got;
+            };
             for (int i = 0; i < kItersPerThread; ++i) {
                 ExecResult got;
                 uint64_t digest = 0;
-                const int engine = t % 3;
+                const int engine = nativeUsable ? t % kEngines : t % 2;
                 if (engine == 0) {
-                    Interpreter ref(*want.mod, target);
-                    got = ref.run(want.entry, {});
-                    digest = ref.heap().digest();
-                } else if (engine == 1 || !nativeUsable) {
-                    FastInterpreter fast(*want.mod, target);
-                    got = fast.run(want.entry, {});
-                    digest = fast.heap().digest();
+                    Interpreter ref(mod, target);
+                    got = runOn(ref, digest);
+                } else if (engine == 1) {
+                    FastInterpreter fast(mod, target);
+                    got = runOn(fast, digest);
+                } else if (engine == 4) {
+                    TieredOptions manual;
+                    manual.threshold = 1u << 30;
+                    manual.synchronous = true;
+                    TieredEngine tiered(mod, target, {}, nullptr, {},
+                                        manual);
+                    for (FunctionId f = 0; f < mod.numFunctions(); ++f)
+                        tiered.promoteNow(f);
+                    got = runOn(tiered, digest);
                 } else {
-                    NativeEngine native(*want.mod, target);
-                    got = native.run(want.entry, {});
-                    digest = native.heap().digest();
+                    NativeEngineOptions opts;
+                    opts.backend = engine == 2 ? NativeBackend::Baseline
+                                               : NativeBackend::Optimized;
+                    NativeEngine native(mod, target, {}, nullptr, {},
+                                        nullptr, opts);
+                    got = runOn(native, digest);
                 }
                 const bool ok =
                     got.outcome == want.result.outcome &&
@@ -212,85 +133,6 @@ TEST(TrapRuntime, ConcurrentEnginesRunTrapHeavyKernelsInIsolation)
     for (std::thread &th : threads)
         th.join();
     EXPECT_EQ(0, mistakes.load());
-}
-
-TEST(TrapRuntime, TrapCoverageMatchesPageBounds)
-{
-    TrapRuntime runtime;
-    // In-page offsets are trap-covered; beyond the page they are not —
-    // the Figure 5 "BigOffset requires an explicit check" rule.
-    EXPECT_TRUE(runtime.trapCoversAddress(runtime.simNull()));
-    EXPECT_TRUE(runtime.trapCoversAddress(runtime.simNull() +
-                                          runtime.trapAreaBytes() - 1));
-    EXPECT_FALSE(runtime.trapCoversAddress(runtime.simNull() +
-                                           runtime.trapAreaBytes()));
-}
-
-// ---------------------------------------------------------------------------
-// Trap recovery under a chained foreign handler
-// ---------------------------------------------------------------------------
-//
-// The guarded accessors recover with sigsetjmp(buf, 0), so the mask the
-// handler ran under survives the siglongjmp.  A foreign handler on top
-// of TrapRuntime's — SIGSEGV in its sa_mask, no SA_NODEFER, forwarding
-// to TrapRuntime — would leave SIGSEGV blocked after the first trap, and
-// the next guarded fault would kill the process.  The runtime restores
-// the interrupted mask; the test runs in a forked child for that reason
-// (the handler is testing/signal_chain.h's).
-
-[[noreturn]] void
-childFail(const char *what, int round)
-{
-    std::fprintf(stderr, "%s (round %d)\n", what, round);
-    std::_Exit(1);
-}
-
-/**
- * In the forked child: chain a foreign handler over TrapRuntime's,
- * block SIGUSR1, and take read and write traps repeatedly.  Exits 0
- * only if every trap recovered through the foreign handler and left the
- * thread's signal mask exactly as it found it.
- */
-[[noreturn]] void
-trapUnderChainedHandler()
-{
-    TrapRuntime runtime;
-    if (!chainForeignSegvHandler())
-        childFail("cannot chain over the runtime's handler", 0);
-
-    sigset_t usr1;
-    sigemptyset(&usr1);
-    sigaddset(&usr1, SIGUSR1);
-    pthread_sigmask(SIG_BLOCK, &usr1, nullptr);
-
-    int32_t cell = 0;
-    for (int round = 1; round <= 3; ++round) {
-        sigset_t before, after;
-        pthread_sigmask(SIG_SETMASK, nullptr, &before);
-        if (runtime.guardedReadI32(runtime.simNull() + 8).has_value())
-            childFail("read of the protected page did not trap", round);
-        if (runtime.guardedWriteI32(runtime.simNull() + 16, round))
-            childFail("write to the protected page did not trap", round);
-        pthread_sigmask(SIG_SETMASK, nullptr, &after);
-        if (!sameSignalMask(before, after))
-            childFail("signal mask changed across a trap", round);
-        if (!runtime.guardedWriteI32(reinterpret_cast<uintptr_t>(&cell),
-                                     round) ||
-            runtime.guardedReadI32(reinterpret_cast<uintptr_t>(&cell)) !=
-                round)
-            childFail("access to real memory failed after a trap", round);
-    }
-    if (g_foreignSegvEntries != 6)
-        childFail("not every trap went through the foreign handler", 3);
-    if (runtime.trapsTaken() != 6)
-        childFail("trap count differs", 3);
-    std::_Exit(0);
-}
-
-TEST(TrapRuntimeMaskDeathTest, RecoveryRestoresMaskUnderChainedHandler)
-{
-    EXPECT_EXIT(trapUnderChainedHandler(), ::testing::ExitedWithCode(0),
-                "");
 }
 
 // ---------------------------------------------------------------------------
