@@ -3,11 +3,17 @@
 
 /**
  * @file
- * The native x86-64 baseline tier: lowers a DecodedFunction into real,
+ * The native x86-64 tier: lowers a DecodedFunction into real,
  * executable machine code with the paper's hardware-trap implicit null
- * checks.
+ * checks.  One lowering (native_compiler.cpp) serves three modes: the
+ * baseline, its tiered ABI (options.tiered, DESIGN.md section 14) and
+ * the optimized backend (options.optimized, DESIGN.md section 15:
+ * write-through register homes, budget charged per straight-line run,
+ * section 5.4 load speculation and deopt side-exits).  Each opcode is
+ * lowered once; the modes differ only in a few hooks — operand read
+ * and def, budget charge, cold exit, and the reload after a helper.
  *
- * Design (see DESIGN.md section 11 for the full story):
+ * Baseline design (see DESIGN.md section 11 for the full story):
  *
  *  - Slot-resident baseline: every IR value lives at [rbx + id*8] in
  *    the frame's slot array; no value is cached in a register across
@@ -239,16 +245,6 @@ struct NativeCompileResult
 NativeCompileResult compileNative(const Function &fn,
                                   const DecodedFunction &df,
                                   const NativeCompileOptions &options);
-
-/**
- * The optimized backend: lower @p df with linear-scan register
- * allocation, batched budget runs and section-5.4 load speculation.
- * Called by compileNative when options.optimized is set; exposed for
- * tests.  Same fallback contract as compileNative.
- */
-NativeCompileResult
-compileNativeOptimized(const Function &fn, const DecodedFunction &df,
-                       const NativeCompileOptions &options);
 
 /** True when this build can execute natively compiled code at all. */
 constexpr bool

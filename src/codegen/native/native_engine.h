@@ -47,8 +47,8 @@ enum class NativeBackend : uint8_t
      *  baseline); TRAPJIT_SPECULATE=0 then disables section-5.4 load
      *  speculation within the optimized backend. */
     FromEnv,
-    Baseline,  ///< slot-resident tier (native_compiler.cpp)
-    Optimized, ///< regalloc + speculation (optimized_compiler.cpp)
+    Baseline,  ///< slot-resident mode of compileNative
+    Optimized, ///< compileNative's regalloc + speculation mode
 };
 
 /** Engine-level knobs (testing hooks, not part of the cache key). */

@@ -90,8 +90,9 @@ struct ServiceCounters
     size_t blocksInvalidated = 0;  ///< published blocks unlinked
     double tierUpLatencySeconds = 0.0; ///< request-to-publish, summed
 
-    // Optimized native backend (codegen/native/optimized_compiler.cpp):
-    // linear-scan register allocation + section-5.4 load speculation.
+    // Optimized native backend (the options.optimized mode of
+    // codegen/native/native_compiler.cpp): linear-scan register
+    // allocation + section-5.4 load speculation.
     // Compile-side totals come from the NativeCode blocks; deoptsTaken
     // is a runtime count filled by NativeEngine::addOptimizedCounters.
     size_t functionsRegalloc = 0; ///< functions through linear scan

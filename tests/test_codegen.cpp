@@ -2,16 +2,23 @@
  * @file
  * Unit tests of the back end: the exception-site-respecting scheduler,
  * the linear-scan register allocator (non-overlapping assignments,
- * spill behavior under pressure), and the emitter (explicit checks cost
- * bytes, implicit ones are free).
+ * spill behavior under pressure), the emitter (explicit checks cost
+ * bytes, implicit ones are free), and the optimized mode of the native
+ * lowering (section 5.4 speculation, register-home pool exhaustion).
  */
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "codegen/check_bytes.h"
 #include "codegen/emitter.h"
 #include "codegen/linear_scan.h"
+#include "analysis/audit/audit.h"
 #include "codegen/native/native_compiler.h"
+#include "codegen/native/x64_emitter.h"
 #include "codegen/scheduler.h"
 #include "interp/decoded_program.h"
 #include "interp/interpreter.h"
@@ -408,6 +415,115 @@ TEST(OptimizedNativeShape, BigOffsetFieldIsNeverSpeculated)
     ASSERT_NE(nullptr, res.code) << res.unsupportedReason;
     EXPECT_EQ(0u, res.code->loadsSpeculated);
     EXPECT_GT(res.code->explicitNullCheckBytes, 0u);
+}
+
+TEST(OptimizedNativeShape, OptimizedHasNoTieredMode)
+{
+    Module mod;
+    Function &fn = mod.addFunction("both", Type::I32);
+    ValueId x = fn.addParam(Type::I32, "x");
+    IRBuilder b(fn);
+    b.startBlock();
+    b.ret(x);
+    fn.recomputeCFG();
+
+    auto df = decodeFunction(fn, ia32, {});
+    NativeCompileOptions opts;
+    opts.tiered = true;
+    opts.optimized = true;
+    NativeCompileResult res = compileNative(fn, *df, opts);
+    EXPECT_EQ(nullptr, res.code);
+    EXPECT_FALSE(res.unsupportedReason.empty());
+}
+
+// Twelve register-home candidates for eight homes.  Four values with
+// three uses each never cross the helper and take caller-saved homes;
+// two with two uses each are live across the NewObject and must get
+// the two callee-saved homes (r15, rbp); the one-use values fill the
+// two caller-saved homes left in id order and everything after them
+// keeps its slot.
+TEST(OptimizedNativeShape, HomePoolExhaustionKeepsCalleeSavedForHelperSpans)
+{
+    if (!nativeTierSupported())
+        GTEST_SKIP() << "native tier requires x86-64 Linux";
+
+    Module mod;
+    Function &fn = mod.addFunction("pressure", Type::I64);
+    std::vector<ValueId> hot, spans, cold;
+    for (int k = 0; k < 4; ++k)
+        hot.push_back(fn.addParam(Type::I64, "h" + std::to_string(k)));
+    for (int k = 0; k < 2; ++k)
+        spans.push_back(fn.addParam(Type::I64, "s" + std::to_string(k)));
+    for (int k = 0; k < 6; ++k)
+        cold.push_back(fn.addParam(Type::I64, "c" + std::to_string(k)));
+    IRBuilder b(fn);
+    b.startBlock();
+    ValueId acc = b.binop(Opcode::IAdd, hot[0], hot[1]);
+    acc = b.binop(Opcode::IAdd, acc, hot[2]);
+    acc = b.binop(Opcode::IAdd, acc, hot[3]);
+    for (int round = 0; round < 2; ++round)
+        for (ValueId h : hot)
+            acc = b.binop(Opcode::IAdd, acc, h);
+    for (ValueId s : spans)
+        acc = b.binop(Opcode::IAdd, acc, s);
+    for (ValueId c : cold)
+        acc = b.binop(Opcode::IAdd, acc, c);
+    b.newObject(0, 16);
+    ValueId after = b.binop(Opcode::IAdd, spans[0], spans[1]);
+    b.ret(b.binop(Opcode::IAdd, acc, after));
+    fn.recomputeCFG();
+
+    auto df = decodeFunction(fn, ia32, {});
+    NativeCompileOptions opts;
+    opts.optimized = true;
+    NativeCompileResult res = compileNative(fn, *df, opts);
+    ASSERT_NE(nullptr, res.code) << res.unsupportedReason;
+    const NativeCode &nc = *res.code;
+
+    // Every use here is a GPR-path use (IAdd, Return) and every def
+    // goes through the accumulator, so the candidates are exactly the
+    // values read anywhere; a value spans the helper when its textual
+    // live range (parameters from entry) contains the NewObject.
+    std::vector<int> lo(df->numValues, -1), hi(df->numValues, -1);
+    std::vector<bool> used(df->numValues, false);
+    int helper = -1;
+    for (size_t i = 0; i < df->code.size(); ++i) {
+        const DecodedInst &rec = df->code[i];
+        if (rec.srcOp == Opcode::NewObject)
+            helper = static_cast<int>(i);
+        for (ValueId v : {rec.dst, rec.a, rec.b, rec.c}) {
+            if (v == kNoValue)
+                continue;
+            if (lo[v] < 0)
+                lo[v] = v < df->numParams ? 0 : static_cast<int>(i);
+            hi[v] = static_cast<int>(i);
+        }
+        for (ValueId v : {rec.a, rec.b, rec.c})
+            if (v != kNoValue)
+                used[v] = true;
+    }
+    ASSERT_GE(helper, 0);
+    const size_t candidates =
+        static_cast<size_t>(std::count(used.begin(), used.end(), true));
+    ASSERT_GT(candidates, 8u);
+
+    EXPECT_EQ(8u, nc.regLocs.size());
+    EXPECT_EQ(8u, nc.regsAllocated);
+    EXPECT_EQ(candidates - 8, nc.spillsEmitted);
+    std::vector<ValueId> calleeSaved;
+    for (const NativeRegLoc &rl : nc.regLocs) {
+        if (rl.reg != static_cast<uint8_t>(X64Reg::R15) &&
+            rl.reg != static_cast<uint8_t>(X64Reg::RBP))
+            continue;
+        calleeSaved.push_back(rl.value);
+        EXPECT_LE(lo[rl.value], helper) << "value " << rl.value;
+        EXPECT_GE(hi[rl.value], helper) << "value " << rl.value;
+    }
+    std::sort(calleeSaved.begin(), calleeSaved.end());
+    EXPECT_EQ(spans, calleeSaved);
+
+    AuditReport audit = auditNativeTrapSites(fn, ia32, *df, nc);
+    EXPECT_TRUE(audit.clean()) << audit.format();
 }
 
 } // namespace
